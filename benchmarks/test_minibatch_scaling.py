@@ -8,9 +8,11 @@ datasets) with a *fixed* labelled set are trained one epoch each way:
 * **full-batch** — one whole-graph forward/backward per epoch; even the
   sparse path is Θ(N + m), and the dense reference path is Θ(N²).
 
-The acceptance claims: mini-batch per-epoch time grows ≤ 1.5× from 5k→20k
-nodes while the full-batch epoch grows ≥ 4×, and exhaustive sampling
-reproduces the full-batch forward logits to 1e-8 at 5k-node scale.
+The acceptance claims: mini-batch per-epoch time (best of
+``MINI_REPEATS`` epochs, so one noisy epoch on a shared host cannot fail
+it) grows ≤ 1.5× from 5k→20k nodes while the full-batch epoch grows ≥ 4×,
+and exhaustive sampling reproduces the full-batch forward logits to 1e-8
+at 5k-node scale.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ SIZES = (5_000, 20_000)
 NUM_TRAIN = 1_024  # fixed labelled set: per-epoch batch count stays constant
 BATCH_SIZE = 256
 FANOUTS = (5, 5)
+MINI_REPEATS = 3
 
 # The dense full-batch leg peaks at several simultaneous (N, N) float64
 # arrays; skip it (never the sparse/mini legs) on machines that cannot
@@ -166,7 +169,10 @@ def _scaling_report():
         row = {
             "num_nodes": num_nodes,
             "nnz": csr.nnz,
-            "mini_seconds": _minibatch_epoch_seconds(csr, features, labels, train_idx),
+            "mini_seconds": min(
+                _minibatch_epoch_seconds(csr, features, labels, train_idx)
+                for _ in range(MINI_REPEATS)
+            ),
             "sparse_seconds": _fullbatch_sparse_epoch_seconds(
                 csr, features, labels, train_idx
             ),

@@ -288,10 +288,10 @@ class CSRMatrix:
     def slice_rows(self, rows: np.ndarray) -> "CSRMatrix":
         """Gather ``rows`` (in the given order) into a ``(len(rows), C)`` matrix.
 
-        The row-slice kernel behind mini-batch block extraction: each output
-        row is the full adjacency list of the corresponding input row, with
-        column indices unchanged (still global).  Duplicate row ids are
-        allowed and simply repeat the row.  Cost is O(output nnz).
+        Each output row is the full adjacency list of the corresponding
+        input row, with column indices unchanged (still global).  Duplicate
+        row ids are allowed and simply repeat the row.  Cost is O(output
+        nnz).
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1:
