@@ -1,7 +1,9 @@
 """Assert quick-preset experiment results are bit-for-bit identical to the pins.
 
-The pins in ``results/autodiff_pins.json`` were captured immediately before
-the autodiff core was rewritten around the VJP primitive registry.  Training
+The pins live in ``results/autodiff_pins.json``, the one file under
+``results/`` that is committed (``.gitignore`` re-includes it).  They are
+the quick-preset seed-0 row hashes of the training pipeline as it stood
+before SciPy's CSR kernel replaced the hand-written ``spmm``.  Training
 numerics must not move at all — every float in the quick table3/figure4 rows
 is canonicalised via ``float.hex`` (lossless) and the rows hashed, so a
 single ULP of drift anywhere in the training pipeline fails this check.
@@ -67,12 +69,12 @@ def main() -> int:
 
     if failures:
         print(
-            f"training numerics drifted from the pre-rewrite pin: {failures}. "
+            f"training numerics drifted from the pin: {failures}. "
             "If the change is intentional, re-pin results/autodiff_pins.json.",
             file=sys.stderr,
         )
         return 1
-    print("autodiff pins OK: results are bit-for-bit identical to the pre-rewrite tape")
+    print("autodiff pins OK: results are bit-for-bit identical to the pins")
     return 0
 
 

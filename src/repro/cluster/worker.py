@@ -28,6 +28,8 @@ impossible for the same reason single-process staleness is.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -395,12 +397,41 @@ class InProcessWorker:
         self._pending = None
 
 
+def _single_thread_blas() -> None:
+    """Give every OpenBLAS loaded in this process one thread (Linux only).
+
+    Shard workers are sibling processes on shared cores that the router
+    already runs in parallel.  A forked worker keeps its parent's BLAS
+    thread count, and idle OpenBLAS threads spin, so per-worker pools starve
+    the sibling shards.  NumPy and SciPy wheels each bundle an OpenBLAS whose
+    symbols may carry a ``scipy_`` prefix and a ``64_`` suffix.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split(None, 5)[-1].strip() for line in maps if "openblas" in line
+            }
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            setter = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def _worker_main(
     conn: multiprocessing.connection.Connection, init: WorkerInit
 ) -> None:
     """Child-process entry: build the replica, serve the command pipe."""
     from repro.sparse.backend import use_backend
 
+    _single_thread_blas()
     if init.telemetry:
         set_tracing(True)
     if init.profile:

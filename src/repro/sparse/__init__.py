@@ -1,8 +1,9 @@
 """Sparse graph compute backend.
 
-A dependency-free CSR matrix type, sparse counterparts of the library's
-dense graph kernels (propagation normalisations, Laplacians, k-hop BFS), an
-autodiff-integrated ``spmm`` and a pluggable dense/sparse backend registry.
+A CSR matrix type whose products run on SciPy's compiled CSR kernel, sparse
+counterparts of the library's dense graph kernels (propagation
+normalisations, Laplacians, k-hop BFS), an autodiff-integrated ``spmm`` and a
+pluggable dense/sparse backend registry.
 The registry defaults to ``"auto"``, which keeps small graphs on the exact
 dense reference path and switches large low-density graphs to CSR — every
 table/figure pipeline runs unmodified on either backend.

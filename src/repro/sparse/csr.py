@@ -1,11 +1,11 @@
-"""A dependency-free CSR (compressed sparse row) matrix.
+"""The sparse backend's CSR (compressed sparse row) matrix.
 
-The reproduction environment provides NumPy but no SciPy, so the sparse
-compute backend implements its own CSR container.  Only the operations the
-graph pipelines need are provided — construction from edge lists / dense
-arrays / COO triplets, transposition, row/column scaling, self-loop
-insertion and CSR × dense products — but each is fully vectorised so the
-container scales to millions of non-zeros on a single core.
+A small immutable container for the operations the graph pipelines need —
+construction from edge lists / dense arrays / COO triplets, transposition,
+row/column scaling, self-loop insertion and CSR × dense products.  Structure
+edits are vectorised NumPy; the CSR × dense product runs SciPy's compiled
+CSR kernel over the same arrays, so the container scales to millions of
+non-zeros on a single core.
 
 Internally a matrix is the classic triplet of arrays:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.obs.profile import active_profiler
 
@@ -359,27 +360,12 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     # Products
     # ------------------------------------------------------------------ #
-    def _segment_rowsum(self, contributions: np.ndarray) -> np.ndarray:
-        """Sum per-entry contributions into their rows.
-
-        ``contributions`` has one leading entry per stored non-zero, in
-        row-major CSR order; empty rows receive zeros.  ``np.add.reduceat``
-        over the non-empty row pointers is correct because empty rows occupy
-        no space in ``data`` — consecutive non-empty segments tile the whole
-        contribution array.
-        """
-        out_shape = (self.shape[0],) + contributions.shape[1:]
-        out = np.zeros(out_shape, dtype=np.float64)
-        counts = np.diff(self.indptr)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size:
-            out[nonempty] = np.add.reduceat(
-                contributions, self.indptr[nonempty], axis=0
-            )
-        return out
-
     def matmul_dense(self, other: np.ndarray) -> np.ndarray:
-        """CSR × dense product, ``(R, C) @ (C, F) -> (R, F)`` or matvec."""
+        """CSR × dense product, ``(R, C) @ (C, F) -> (R, F)`` or matvec.
+
+        One pass of SciPy's compiled CSR kernel; wrapping the triplet shares
+        the arrays without copying them.
+        """
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2):
             raise ValueError("operand must be 1- or 2-dimensional")
@@ -388,22 +374,18 @@ class CSRMatrix:
                 f"shape mismatch: {self.shape} @ {other.shape}"
             )
         profiler = active_profiler()
-        if profiler is None:
-            if other.ndim == 1:
-                return self._segment_rowsum(self.data * other[self.indices])
-            return self._segment_rowsum(self.data[:, None] * other[self.indices])
-        frame = profiler.begin()
+        frame = profiler.begin() if profiler is not None else None
         out = None
         try:
-            if other.ndim == 1:
-                out = self._segment_rowsum(self.data * other[self.indices])
-            else:
-                out = self._segment_rowsum(self.data[:, None] * other[self.indices])
+            out = csr_array(
+                (self.data, self.indices, self.indptr), shape=self.shape
+            ) @ other
             return out
         finally:
-            profiler.end(
-                frame, "spmv" if other.ndim == 1 else "spmm", (self, other), out
-            )
+            if frame is not None:
+                profiler.end(
+                    frame, "spmv" if other.ndim == 1 else "spmm", (self, other), out
+                )
 
     def __matmul__(self, other) -> np.ndarray:
         if isinstance(other, CSRMatrix):

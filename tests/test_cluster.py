@@ -485,6 +485,51 @@ class TestProcessWorkers:
         with pytest.raises(RuntimeError, match="closed"):
             router.predict_logits(nodes)
 
+    def test_worker_blas_runs_single_threaded(self):
+        import ctypes
+        import multiprocessing
+
+        from repro.cluster.worker import _single_thread_blas
+
+        def openblas_thread_counts():
+            with open("/proc/self/maps") as maps:
+                paths = {
+                    line.split(None, 5)[-1].strip()
+                    for line in maps
+                    if "openblas" in line
+                }
+            counts = []
+            for path in paths:
+                library = ctypes.CDLL(path)
+                for name in (
+                    "openblas_get_num_threads",
+                    "openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "scipy_openblas_get_num_threads64_",
+                ):
+                    getter = getattr(library, name, None)
+                    if getter is not None:
+                        counts.append(getter())
+            return counts
+
+        def report(queue):
+            _single_thread_blas()
+            queue.put(openblas_thread_counts())
+
+        try:
+            if not openblas_thread_counts():
+                pytest.skip("no OpenBLAS found in this process")
+        except OSError:
+            pytest.skip("no /proc/self/maps on this platform")
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=report, args=(queue,))
+        child.start()
+        counts = queue.get(timeout=30)
+        child.join(timeout=30)
+        assert not child.is_alive()
+        assert counts and set(counts) == {1}
+
     def test_bad_registry_reference_fails_fast(self, tmp_path, small_graph, gcn_model):
         csr, features = small_graph
         session = GraphSession(csr, features)

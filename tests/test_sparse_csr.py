@@ -1,10 +1,11 @@
-"""Unit tests for the dependency-free CSR container."""
+"""Unit tests for the CSR container."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.obs.profile import KernelProfiler, use_profiler
 from repro.sparse.csr import CSRMatrix
 
 
@@ -167,6 +168,116 @@ class TestProducts:
         dense = random_sparse(rng, n=200, density=0.01)
         csr = CSRMatrix.from_dense(dense)
         assert csr.memory_bytes() < dense.nbytes
+
+
+def gather_reduceat_product(matrix, other):
+    """The NumPy gather + ``reduceat`` kernel ``matmul_dense`` once ran."""
+    other = np.asarray(other, dtype=np.float64)
+    if other.ndim == 1:
+        contributions = matrix.data * other[matrix.indices]
+    else:
+        contributions = matrix.data[:, None] * other[matrix.indices]
+    out = np.zeros((matrix.shape[0],) + contributions.shape[1:], dtype=np.float64)
+    nonempty = np.flatnonzero(np.diff(matrix.indptr))
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(
+            contributions, matrix.indptr[nonempty], axis=0
+        )
+    return out
+
+
+def sparse_with_empty_rows(rng, rows, cols, density):
+    dense = random_sparse(rng, n=rows, m=cols, density=density)
+    dense[rng.random(rows) < 0.3] = 0.0
+    return CSRMatrix.from_dense(dense)
+
+
+class TestCompiledKernel:
+    """``matmul_dense`` agrees with the gather + ``reduceat`` kernel."""
+
+    def assert_matches_reference(self, matrix, other):
+        out = matrix.matmul_dense(other)
+        expected = gather_reduceat_product(matrix, other)
+        assert out.dtype == np.float64
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("features", [1, 3, 16])
+    def test_random_with_empty_rows(self, seed, features):
+        rng = np.random.default_rng(seed)
+        matrix = sparse_with_empty_rows(rng, rows=60, cols=45, density=0.2)
+        assert (np.diff(matrix.indptr) == 0).any()
+        self.assert_matches_reference(matrix, rng.normal(size=(45, features)))
+        self.assert_matches_reference(matrix, rng.normal(size=45))
+
+    def test_no_stored_entries(self, rng):
+        matrix = CSRMatrix.from_dense(np.zeros((6, 4)))
+        assert matrix.nnz == 0
+        out = self.assert_matches_reference(matrix, rng.normal(size=(4, 3)))
+        assert not out.any()
+
+    def test_zero_row_matrix(self, rng):
+        matrix = CSRMatrix.from_coo([], [], [], shape=(0, 5))
+        out = self.assert_matches_reference(matrix, rng.normal(size=(5, 3)))
+        assert out.shape == (0, 3)
+        assert self.assert_matches_reference(matrix, rng.normal(size=5)).shape == (0,)
+
+    def test_zero_column_operand(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=8, cols=6, density=0.4)
+        out = self.assert_matches_reference(matrix, np.empty((6, 0)))
+        assert out.shape == (8, 0)
+
+    def test_vector_operand(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=30, cols=20, density=0.3)
+        out = self.assert_matches_reference(matrix, rng.normal(size=20))
+        assert out.ndim == 1
+
+    def test_fortran_ordered_operand(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=30, cols=20, density=0.3)
+        other = np.asfortranarray(rng.normal(size=(20, 7)))
+        assert not other.flags.c_contiguous
+        self.assert_matches_reference(matrix, other)
+
+    def test_strided_operand(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=30, cols=20, density=0.3)
+        base = rng.normal(size=(40, 9))
+        other = base[::2, 1::2]
+        assert other.shape == (20, 4) and not other.flags.contiguous
+        self.assert_matches_reference(matrix, other)
+        self.assert_matches_reference(matrix, base[::2, 3])
+
+    def test_integer_operand(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=12, cols=10, density=0.4)
+        other = rng.integers(-5, 6, size=(10, 3))
+        self.assert_matches_reference(matrix, other)
+        self.assert_matches_reference(matrix, other[:, 0])
+
+    def test_result_is_fresh_and_inputs_untouched(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=25, cols=25, density=0.3)
+        other = rng.normal(size=(25, 4))
+        before = (matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy())
+        other_before = other.copy()
+        out = matrix.matmul_dense(other)
+        for array in (other, matrix.data, matrix.indices, matrix.indptr):
+            assert not np.shares_memory(out, array)
+        np.testing.assert_array_equal(other, other_before)
+        for now, then in zip((matrix.indptr, matrix.indices, matrix.data), before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_profiled_call_matches_and_records_one_spmm(self, rng):
+        matrix = sparse_with_empty_rows(rng, rows=40, cols=30, density=0.2)
+        other = rng.normal(size=(30, 5))
+        plain = matrix.matmul_dense(other)
+        profiler = KernelProfiler()
+        with use_profiler(profiler):
+            profiled = matrix.matmul_dense(other)
+        np.testing.assert_array_equal(profiled, plain)
+        table = profiler.table()
+        assert set(table) == {"spmm"}
+        assert table["spmm"]["calls"] == 1
+        assert table["spmm"]["flops"] == 2 * matrix.nnz * 5
 
 
 class TestIncrementalEdgeUpdates:
