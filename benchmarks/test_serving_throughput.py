@@ -15,15 +15,15 @@ A second leg measures the vectorised fanout sampler against the historical
 per-row ``rng.choice`` loop it replaced (the PR-3 follow-on hot spot): same
 row counts, ≥ 2× faster at benchmark scale.
 
-A third leg (ISSUE 7) measures the cold-**miss** path: a deep flush of
-distinct uncached requests served by fused plan replay over one
-block-diagonal megabatch versus the unfused per-micro-batch module
-forwards.  Megabatching wins twice — deduplicated receptive fields (one
-sampling pass over the union of the ego blocks) and one kernel dispatch
-sequence per flush instead of one per micro-batch — so the gap widens with
-flush depth; at a 4096-request flush the fused path must be ≥ 2× the
-unfused one, with the plan counters proving the timed path *replayed* a
-cached plan rather than re-recording it.
+A third leg measures the cold-**miss** path: a deep flush of
+distinct uncached requests answered by one engine call (one sampling pass
+over the union of the ego blocks, one plan replay) versus the unfused
+per-micro-batch module forwards.  The deep call wins twice — deduplicated
+receptive fields and one kernel dispatch sequence per flush instead of one
+per micro-batch — so the gap widens with flush depth; at a 4096-request
+flush the fused path must be ≥ 2× the unfused one, with the plan counters
+proving the timed path *replayed* a cached plan rather than re-recording
+it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ WORKING_SET = 512        # distinct nodes the request stream draws from
 WARM_REQUESTS = 4_000    # measured warm-phase requests
 NAIVE_REQUESTS = 5       # full-graph forwards are expensive; few suffice
 MIN_SPEEDUP = 10.0
-PLAN_FLUSH = 4_096       # cold-miss megabatch flush depth for the plan leg
+PLAN_FLUSH = 4_096       # cold-miss flush depth (one engine call) for the plan leg
 PLAN_MICRO_BATCH = 64    # unfused leg micro-batch (the pre-plan default)
 PLAN_REPEATS = 3         # best-of timing repeats per leg
 PLAN_MIN_SPEEDUP = 2.0
@@ -182,7 +182,7 @@ def _plan_comparison(csr, features, model) -> dict:
     Both legs serve the identical PLAN_FLUSH-node flush with the logit cache
     off, so every timed request is on the miss path.  The unfused leg is the
     pre-plan serving stack (module forwards over strict micro-batches); the
-    fused leg coalesces the flush into one megabatch and replays the cached
+    fused leg answers the flush in one engine call and replays the cached
     plan.  The plan is recorded (and validated) by an untimed priming call —
     the counters assert the timed flushes replayed it, never re-recorded.
     """
@@ -193,9 +193,7 @@ def _plan_comparison(csr, features, model) -> dict:
     unfused_engine = InferenceEngine(
         model, session, ServeConfig(fanouts=FANOUTS, cache=False, plan=False)
     )
-    unfused_batcher = RequestBatcher(
-        unfused_engine, max_batch_size=PLAN_MICRO_BATCH, coalesce_batches=1
-    )
+    unfused_batcher = RequestBatcher(unfused_engine, max_batch_size=PLAN_MICRO_BATCH)
     unfused_seconds = None
     for _ in range(PLAN_REPEATS):
         elapsed, unfused_rows = _flush_once(unfused_batcher, working)
@@ -207,15 +205,11 @@ def _plan_comparison(csr, features, model) -> dict:
     fused_engine = InferenceEngine(
         model,
         GraphSession(csr, features),
-        ServeConfig(fanouts=FANOUTS, cache=False, megabatch_segment=PLAN_FLUSH),
+        ServeConfig(fanouts=FANOUTS, cache=False),
         plan_cache=plan_cache,
     )
     fused_engine.predict_logits(working[:8])  # prime: record + validate once
-    fused_batcher = RequestBatcher(
-        fused_engine,
-        max_batch_size=PLAN_MICRO_BATCH,
-        coalesce_batches=PLAN_FLUSH // PLAN_MICRO_BATCH,
-    )
+    fused_batcher = RequestBatcher(fused_engine, max_batch_size=PLAN_FLUSH)
     fused_seconds = None
     for _ in range(PLAN_REPEATS):
         elapsed, fused_rows = _flush_once(fused_batcher, working)
@@ -226,7 +220,7 @@ def _plan_comparison(csr, features, model) -> dict:
     np.testing.assert_allclose(fused_rows, unfused_rows, rtol=0.0, atol=1e-8)
 
     # Per-op dispatch accounting: a replay runs the plan's flat kernel list
-    # once per megabatch; the unfused leg walks the module graph once per
+    # once per flush; the unfused leg walks the module graph once per
     # micro-batch, dispatching the same kernel sequence each time.
     plan = record_plan(model)
     micro_batches = PLAN_FLUSH // PLAN_MICRO_BATCH
@@ -245,7 +239,6 @@ def _plan_comparison(csr, features, model) -> dict:
         "plans_recorded": stats.plans_recorded,
         "plan_replays": stats.plan_replays,
         "plan_fallbacks": stats.plan_fallbacks,
-        "mean_megabatch_size": stats.mean_megabatch_size,
     }
 
 

@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-size",
         type=int,
-        default=32,
-        help="micro-batch size of the RequestBatcher in front of the router",
+        default=256,
+        help="largest engine call: requests one batcher pop sends to the router",
     )
     serve.add_argument(
         "--verify",

@@ -110,14 +110,6 @@ class ClusterStats:
     def plan_fallbacks(self) -> int:
         return sum(shard["plan_fallbacks"] for shard in self.shards)
 
-    @property
-    def megabatches(self) -> int:
-        return sum(shard["megabatches"] for shard in self.shards)
-
-    @property
-    def megabatch_nodes(self) -> int:
-        return sum(shard["megabatch_nodes"] for shard in self.shards)
-
     def merged_histograms(self) -> dict:
         """Cluster-wide latency distributions: every shard's histogram
         section merged by name into fresh :class:`Histogram` objects, so

@@ -65,7 +65,7 @@ class ClusterWorkerError(RuntimeError):
     """A shard worker rejected a command (re-raised router-side)."""
 
 
-SHARD_STATS_SCHEMA_VERSION = 2
+SHARD_STATS_SCHEMA_VERSION = 3
 """Bump on every field change of :class:`ShardStatsSnapshot`.  The router
 validates the version of every snapshot it aggregates, so a worker running
 an older schema (stale child re-used across a deploy, renamed counter) fails
@@ -73,7 +73,8 @@ loudly instead of silently contributing zeros to cluster totals.
 
 v2 added the optional ``histograms`` (per-shard latency distributions as
 ``Histogram.state()`` dicts, merged router-side into cluster-wide p50/p99)
-and ``profile`` (kernel-profiler aggregate table) sections."""
+and ``profile`` (kernel-profiler aggregate table) sections; v3 dropped the two
+segment-packing counters."""
 
 _OPTIONAL_SECTIONS = ("histograms", "profile")
 """Snapshot fields that are dicts-or-``None`` instead of int counters."""
@@ -103,8 +104,6 @@ class ShardStatsSnapshot:
     plans_recorded: int
     plan_replays: int
     plan_fallbacks: int
-    megabatches: int
-    megabatch_nodes: int
     histograms: Optional[dict] = None
     profile: Optional[dict] = None
 
@@ -341,8 +340,6 @@ class ShardWorker:
             plans_recorded=0 if cache is None else cache.plans_recorded,
             plan_replays=0 if cache is None else cache.plan_replays,
             plan_fallbacks=0 if cache is None else cache.plan_fallbacks,
-            megabatches=0 if cache is None else cache.megabatches,
-            megabatch_nodes=0 if cache is None else cache.megabatch_nodes,
             histograms={"worker.compute": self._compute.state()},
             profile=profile_section,
         )

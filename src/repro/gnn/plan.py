@@ -15,15 +15,11 @@ of it from the serving hot path with the trace-once/replay-many idiom
   Architectures without a flat kernel decomposition (GAT's data-dependent
   attention) raise :class:`PlanUnsupported` and keep their fallback path.
 
-* **Megabatching** — :func:`pack_blocks` packs the per-segment ego-block
-  stacks of one coalesced request flush into a single
-  :class:`PackedBatch`: per layer, one block-diagonal propagation matrix
-  (:func:`repro.sparse.ops.block_diag_csr`) over the vertically stacked
-  segment features, so the whole megabatch runs **one** spmm (or dense
-  matmul) per layer instead of one per segment.  The per-segment
-  propagation weights are built by lean vectorised kernels that replicate
-  :func:`repro.gnn.sampling.block_propagation` bit-for-bit without the
-  COO round trip.
+* **Packing** — :func:`pack_blocks` turns the ego-block stack of one miss
+  batch into a :class:`PackedBatch`: the input-layer feature gather plus
+  one propagation operator per layer, built by
+  :func:`repro.gnn.sampling.block_propagation` (the same builder the
+  unfused forward uses).
 
 * **Replay** — :meth:`InferencePlan.replay` executes the kernel list as
   plain NumPy over a :class:`PackedBatch`: no module traversal, no tape, no
@@ -53,7 +49,6 @@ from repro.gnn.sampling import SampledBlock, block_propagation
 from repro.obs.profile import active_profiler
 from repro.obs.trace import span as obs_span
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import block_diag_csr
 
 __all__ = [
     "PlanUnsupported",
@@ -174,21 +169,15 @@ def plan_params_hash(model) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Megabatch packing
+# Packing
 # --------------------------------------------------------------------------- #
 @dataclass
 class PackedLayer:
-    """One layer's packed propagation operator and dst-row bookkeeping.
-
-    ``matrix`` is the block-diagonal propagation (CSR, or its densified form
-    on the dense backend); ``dst_take`` gathers each segment's destination
-    prefix out of the stacked source rows (``None`` when a single segment
-    makes the prefix a plain ``[:num_dst]`` slice).
-    """
+    """One layer's propagation operator (CSR, or its densified form on the
+    dense backend) and its destination row count."""
 
     matrix: object
     num_dst: int
-    dst_take: Optional[np.ndarray]
 
 
 @dataclass
@@ -197,135 +186,31 @@ class PackedBatch:
 
     src_gather: np.ndarray
     layers: Tuple[PackedLayer, ...]
-    num_segments: int
-
-
-def _insert_self_loops_parts(
-    adjacency: CSRMatrix,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, data)`` of the block adjacency plus unit dst
-    self-loops, inserted in sorted column position without a COO round trip.
-
-    Bit-for-bit equal to :func:`repro.gnn.sampling._with_self_loops` (same
-    entries, same within-row order, same values) at O(nnz) instead of the
-    O(nnz log nnz) lexsort.  Valid because dst nodes are a prefix of the
-    source set (local self column of dst ``i`` is ``i``) and blocks never
-    store self-loops.
-    """
-    num_dst = adjacency.shape[0]
-    counts = np.diff(adjacency.indptr)
-    rows = np.repeat(np.arange(num_dst, dtype=np.int64), counts)
-    before = np.zeros(num_dst, dtype=np.int64)
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size:
-        before[nonempty] = np.add.reduceat(
-            (adjacency.indices < rows).astype(np.int64),
-            adjacency.indptr[nonempty],
-        )
-    insert_at = adjacency.indptr[:-1] + before
-    diag = np.arange(num_dst, dtype=np.int64)
-    indices = np.insert(adjacency.indices, insert_at, diag)
-    data = np.insert(adjacency.data, insert_at, 1.0)
-    indptr = adjacency.indptr + np.arange(num_dst + 1, dtype=np.int64)
-    return indptr, indices, data
-
-
-def _segment_propagation(block: SampledBlock, kind: str) -> CSRMatrix:
-    """The normalised propagation of one segment's block, built lean.
-
-    Replicates :func:`repro.gnn.sampling.block_propagation` value-for-value
-    (same multiplication order, so the products are bitwise identical) while
-    skipping the ``from_coo`` lexsorts and the construction-time validation —
-    this runs once per segment per layer on the serving hot path.
-    """
-    degrees = block.src_degrees
-    num_dst = block.num_dst
-    if kind == "gcn":
-        indptr, indices, data = _insert_self_loops_parts(block.adjacency)
-        inv_sqrt = 1.0 / np.sqrt(degrees)
-        data = data * np.repeat(inv_sqrt[:num_dst], np.diff(indptr))
-        data = data * inv_sqrt[indices]
-        return CSRMatrix._from_parts(indptr, indices, data, block.adjacency.shape)
-    if kind == "mean_noself":
-        adjacency = block.adjacency
-        counts = np.diff(adjacency.indptr)
-        sums = np.zeros(num_dst, dtype=np.float64)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size:
-            sums[nonempty] = np.add.reduceat(
-                adjacency.data, adjacency.indptr[nonempty]
-            )
-        inverse = np.zeros_like(sums)
-        populated = sums > 0
-        inverse[populated] = 1.0 / sums[populated]
-        data = adjacency.data * np.repeat(inverse, counts)
-        return CSRMatrix._from_parts(
-            adjacency.indptr, adjacency.indices, data, adjacency.shape
-        )
-    # Uncommon kinds fall back to the reference builder.
-    return block_propagation(block, kind)
 
 
 def pack_blocks(
-    stacks: Sequence[Sequence[SampledBlock]],
+    blocks: Sequence[SampledBlock],
     kinds: Sequence[str],
     dense: bool = False,
 ) -> PackedBatch:
-    """Traced wrapper around :func:`_pack_blocks` (``plan.pack`` span)."""
-    with obs_span("plan.pack") as pack_span:
-        pack_span.set(segments=len(stacks))
-        return _pack_blocks(stacks, kinds, dense)
+    """Pack one ego-block stack (input layer first) for replay.
 
-
-def _pack_blocks(
-    stacks: Sequence[Sequence[SampledBlock]],
-    kinds: Sequence[str],
-    dense: bool = False,
-) -> PackedBatch:
-    """Pack per-segment ego-block stacks into one replayable megabatch.
-
-    ``stacks`` holds one block stack (input layer first, all the same depth)
-    per request segment; ``kinds`` the per-layer normalisation recorded in
-    the plan.  Segment outputs stack vertically: row band ``i`` of every
-    layer belongs to segment ``i``, and because ``blocks[l].dst_nodes ==
-    blocks[l+1].src_nodes`` within a segment, the bands chain across layers
-    with no row shuffling.
+    ``kinds`` holds the per-layer normalisation recorded in the plan.  The
+    destination rows of layer ``l`` are the first ``num_dst`` source rows of
+    layer ``l + 1``, so layers chain with no row shuffling.
     """
-    if not stacks:
-        raise ValueError("pack_blocks needs at least one segment")
-    depth = len(kinds)
-    for stack in stacks:
-        if len(stack) != depth:
+    with obs_span("plan.pack"):
+        if len(blocks) != len(kinds):
             raise ValueError(
-                f"segment stack depth {len(stack)} != plan depth {depth}"
+                f"block stack depth {len(blocks)} != plan depth {len(kinds)}"
             )
-    if len(stacks) == 1:
-        src_gather = stacks[0][0].src_nodes
-    else:
-        src_gather = np.concatenate([stack[0].src_nodes for stack in stacks])
-    layers: List[PackedLayer] = []
-    for level in range(depth):
-        matrices = [
-            _segment_propagation(stack[level], kinds[level]) for stack in stacks
-        ]
-        packed = matrices[0] if len(matrices) == 1 else block_diag_csr(matrices)
-        matrix: object = packed.to_dense() if dense else packed
-        dst_counts = [stack[level].num_dst for stack in stacks]
-        if len(stacks) == 1:
-            dst_take = None
-        else:
-            src_counts = np.asarray(
-                [stack[level].num_src for stack in stacks], dtype=np.int64
+        layers = []
+        for block, kind in zip(blocks, kinds):
+            matrix = block_propagation(block, kind)
+            layers.append(
+                PackedLayer(matrix.to_dense() if dense else matrix, block.num_dst)
             )
-            offsets = np.concatenate(([0], np.cumsum(src_counts)[:-1]))
-            dst_take = np.concatenate(
-                [
-                    offset + np.arange(count, dtype=np.int64)
-                    for offset, count in zip(offsets, dst_counts)
-                ]
-            )
-        layers.append(PackedLayer(matrix, int(sum(dst_counts)), dst_take))
-    return PackedBatch(src_gather, tuple(layers), len(stacks))
+        return PackedBatch(blocks[0].src_nodes, tuple(layers))
 
 
 # --------------------------------------------------------------------------- #
@@ -403,9 +288,7 @@ class InferencePlan:
     ) -> np.ndarray:
         """Traced wrapper around :meth:`_replay` (``plan.replay`` span)."""
         with obs_span("plan.replay") as replay_span:
-            replay_span.set(
-                rows=int(packed.src_gather.size), segments=packed.num_segments
-            )
+            replay_span.set(rows=int(packed.src_gather.size))
             return self._replay(features, packed, pool)
 
     def _replay(
@@ -414,7 +297,7 @@ class InferencePlan:
         packed: PackedBatch,
         pool: Optional[BufferPool] = None,
     ) -> np.ndarray:
-        """Execute the plan over a packed megabatch; returns the logit rows.
+        """Execute the plan over a packed batch; returns the logit rows.
 
         Matmul outputs go to the pool (when given); every other kernel
         operates in place on arrays the replay owns — the initial feature
@@ -465,12 +348,7 @@ class InferencePlan:
                     if isinstance(layer.matrix, CSRMatrix)
                     else layer.matrix @ x
                 )
-                x_dst = (
-                    x[: layer.num_dst]
-                    if layer.dst_take is None
-                    else x[layer.dst_take]
-                )
-                x = x_dst @ w_self + aggregated @ w_neigh
+                x = x[: layer.num_dst] @ w_self + aggregated @ w_neigh
                 if bias is not None:
                     x = np.add(x, bias, out=x)
             else:  # pragma: no cover - recorder emits only the kinds above

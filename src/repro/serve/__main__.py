@@ -90,7 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="inject this many random edges halfway through the request stream",
     )
-    serve.add_argument("--batch-size", type=int, default=32, help="micro-batch size")
+    serve.add_argument(
+        "--batch-size",
+        type=int,
+        default=256,
+        help="largest engine call: requests answered by one batcher pop",
+    )
     serve.add_argument("--seed", type=int, default=0, help="request-stream seed")
     serve.add_argument(
         "--shards",

@@ -2,7 +2,7 @@
 
 A read-heavy serving workload arrives one node at a time, but the inference
 engine's cost is dominated by per-call overhead (block extraction + one
-forward): answering K queued requests as a single micro-batch shares one
+forward): answering K queued requests as a single batch shares one
 sampled block stack across all of them.  :class:`RequestBatcher` provides
 that coalescing:
 
@@ -53,14 +53,12 @@ class BatcherStats:
     """Throughput bookkeeping of a :class:`RequestBatcher`.
 
     A thin frozen view over the batcher's registry counters
-    (:mod:`repro.obs.metrics`).  ``megabatches`` counts the pops that
-    coalesced more than one ``max_batch_size`` micro-batch into a single
-    engine call; ``largest_batch`` is the biggest single pop observed.
+    (:mod:`repro.obs.metrics`).  ``largest_batch`` is the biggest single
+    pop observed.
     """
 
     requests: int
     batches: int
-    megabatches: int = 0
     largest_batch: int = 0
 
     @property
@@ -73,29 +71,19 @@ _Entry = Tuple[int, Future, float, object, object]
 
 
 class RequestBatcher:
-    """Coalesces prediction requests into micro-batches over one engine.
+    """Coalesces prediction requests into batches over one engine.
 
-    ``coalesce_batches`` lets a deep queue drain in megabatches of up to
-    ``max_batch_size * coalesce_batches`` requests per engine call — the
-    engine's fused plan replay then packs the whole megabatch into one
-    block-diagonal operator per layer (one spmm per layer per flush instead
-    of one per micro-batch).  ``coalesce_batches=1`` restores the strict
-    per-micro-batch behaviour.
+    ``max_batch_size`` is the most requests one engine call answers: a deep
+    queue drains in pops of up to that many, and the engine samples each
+    pop's misses in one ego-block call and runs one forward (plan replay)
+    over them.
     """
 
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        max_batch_size: int = 64,
-        coalesce_batches: int = 8,
-    ) -> None:
+    def __init__(self, engine: InferenceEngine, max_batch_size: int = 512) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if coalesce_batches <= 0:
-            raise ValueError("coalesce_batches must be positive")
         self.engine = engine
         self.max_batch_size = int(max_batch_size)
-        self.coalesce_batches = int(coalesce_batches)
         self._queue: "Deque[_Entry]" = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Event()
@@ -105,7 +93,6 @@ class RequestBatcher:
         labels = {"component": "batcher", "instance": next_instance()}
         self._requests = metrics.counter("serve.batcher.requests", **labels)
         self._batches = metrics.counter("serve.batcher.batches", **labels)
-        self._megabatches = metrics.counter("serve.batcher.megabatches", **labels)
         self._largest_batch = metrics.gauge("serve.batcher.largest_batch", **labels)
         # Latency distributions only fill while tracing is enabled — the
         # disabled serving leg stays within its ≤2% overhead budget.
@@ -189,7 +176,6 @@ class RequestBatcher:
         return BatcherStats(
             requests=self._requests.value,
             batches=self._batches.value,
-            megabatches=self._megabatches.value,
             largest_batch=int(self._largest_batch.value),
         )
 
@@ -197,17 +183,14 @@ class RequestBatcher:
     # Internals
     # ------------------------------------------------------------------ #
     def _pop_batch(self) -> List[_Entry]:
-        limit = self.max_batch_size * self.coalesce_batches
         with self._lock:
             if not self._queue:
                 return []
             batch = [
                 self._queue.popleft()
-                for _ in range(min(limit, len(self._queue)))
+                for _ in range(min(self.max_batch_size, len(self._queue)))
             ]
             self._batches.inc()
-            if len(batch) > self.max_batch_size:
-                self._megabatches.inc()
             if len(batch) > self._largest_batch.value:
                 self._largest_batch.set(len(batch))
         # Queue-wait spans close at pop: request left the queue here.  The

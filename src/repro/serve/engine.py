@@ -84,10 +84,7 @@ class ServeConfig:
 
     ``plan=True`` serves miss batches by replaying a recorded fused
     :class:`~repro.gnn.plan.InferencePlan` (falling back transparently for
-    models without one); ``megabatch_segment`` bounds the node count of one
-    ego-block sampling segment inside a megabatched miss flush — larger
-    segments deduplicate more of the overlapping receptive fields before the
-    block-diagonal pack, at the price of a bigger working buffer.
+    models without one).
     """
 
     fanouts: Optional[Tuple[Optional[int], ...]] = None
@@ -95,13 +92,10 @@ class ServeConfig:
     cache: bool = True
     cache_size: int = 65536
     plan: bool = True
-    megabatch_segment: int = 512
 
     def __post_init__(self) -> None:
         if self.cache_size <= 0:
             raise ValueError("cache_size must be positive")
-        if self.megabatch_segment <= 0:
-            raise ValueError("megabatch_segment must be positive")
         if self.fanouts is not None:
             object.__setattr__(self, "fanouts", tuple(self.fanouts))
             for fanout in self.fanouts:
@@ -117,8 +111,7 @@ class LogitCacheStats:
     ``plans_recorded`` counts fresh plan recordings (cache-key misses),
     ``plan_replays`` miss batches served by replaying an already-recorded
     plan, ``plan_fallbacks`` miss batches that fell back to the unfused
-    module-tree forward, ``megabatches``/``megabatch_nodes`` the number of
-    packed replays and the total nodes they covered.
+    module-tree forward.
     """
 
     hits: int
@@ -128,17 +121,11 @@ class LogitCacheStats:
     plans_recorded: int = 0
     plan_replays: int = 0
     plan_fallbacks: int = 0
-    megabatches: int = 0
-    megabatch_nodes: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def mean_megabatch_size(self) -> float:
-        return self.megabatch_nodes / self.megabatches if self.megabatches else 0.0
 
 
 class LogitCache:
@@ -269,9 +256,16 @@ class InferenceEngine:
                 )
             self._fanouts = None
         self._cache = LogitCache(self.config.cache_size) if self.config.cache else None
-        self._sampler = self._build_sampler()
+        # The structure a miss computes over: revision, sampling key and
+        # sampler, swapped together by _on_mutation so a miss that races a
+        # mutation samples one version under that version's key and caches
+        # its rows under that version's revision.
         self._lock = threading.Lock()
-        self._last_revision = session.revision
+        self._view: Tuple[int, int, Optional[NeighborSampler]] = (
+            session.revision,
+            self._sampling_key(session.version),
+            self._build_sampler(),
+        )
         # Fused-plan replay state.  The plan cache is shared across engines
         # (and shard replicas in one process) by default; the buffer pool is
         # per-engine and guarded, with the rest of the plan state, by its own
@@ -288,8 +282,6 @@ class InferenceEngine:
         self._plans_recorded = metrics.counter("serve.plan.recorded", **labels)
         self._plan_replays = metrics.counter("serve.plan.replays", **labels)
         self._plan_fallbacks = metrics.counter("serve.plan.fallbacks", **labels)
-        self._megabatches = metrics.counter("serve.plan.megabatches", **labels)
-        self._megabatch_nodes = metrics.counter("serve.plan.megabatch_nodes", **labels)
         # Revision-keyed memo of the GAT full-graph fallback forward, so a
         # batcher flush split into several miss batches still pays exactly
         # one Θ(N²) forward per structure revision.
@@ -309,7 +301,8 @@ class InferenceEngine:
         if nodes.min() < 0 or nodes.max() >= self.session.num_nodes:
             raise ValueError("node index out of bounds")
         unique = np.unique(nodes)
-        revision = self.session.revision
+        with self._lock:
+            revision, key, sampler = self._view
         with obs_span("engine.predict") as engine_span:
             engine_span.set(nodes=int(nodes.size), unique=int(unique.size))
             with obs_span("engine.cache_lookup"):
@@ -334,7 +327,7 @@ class InferenceEngine:
                                 )
                         rows = full[miss_nodes]
                     else:
-                        rows = self._compute(miss_nodes)
+                        rows = self._compute(miss_nodes, sampler, key)
                         if self._cache is not None:
                             with obs_span("engine.cache_store"):
                                 self._cache.store(missing, revision, rows)
@@ -367,8 +360,6 @@ class InferenceEngine:
             plans_recorded=self._plans_recorded.value,
             plan_replays=self._plan_replays.value,
             plan_fallbacks=self._plan_fallbacks.value,
-            megabatches=self._megabatches.value,
-            megabatch_nodes=self._megabatch_nodes.value,
         )
 
     # ------------------------------------------------------------------ #
@@ -379,10 +370,10 @@ class InferenceEngine:
             return None
         return NeighborSampler(self.session.csr, seed=self.config.seed)
 
-    def _sampling_key(self) -> int:
+    def _sampling_key(self, version: int) -> int:
         # Deterministic across processes: the session version counts
         # mutations from zero, unlike process-global revision ids.
-        return (self.config.seed << 20) ^ self.session.version
+        return (self.config.seed << 20) ^ version
 
     def _full_graph_logits(self, revision: int) -> np.ndarray:
         """One full-graph fallback forward per structure revision, memoised
@@ -429,77 +420,50 @@ class InferenceEngine:
         backend = "dense" if get_backend_name() == "dense" else "sparse"
         return (self._sig_hash, self._params_hash, backend)
 
-    def _compute(self, nodes: np.ndarray) -> np.ndarray:
-        with self._lock:
-            sampler = self._sampler
-        key = self._sampling_key()
-        if not self.config.plan:
-            with obs_span("sample.ego_blocks"):
-                blocks = sampler.ego_blocks(nodes, self._fanouts, key=key)
-            with obs_span("engine.unfused_forward"):
-                return self.model.predict_logits_blocks(
-                    self.session.features, blocks
-                )
-
-        # Fused path: resolve (or record) the plan, sample the miss batch in
-        # megabatch segments, pack them into one block-diagonal operator
-        # stack and replay.  A fresh recording is validated against the
-        # unfused forward over this very batch before it is trusted.
-        with self._plan_lock:
-            if self._plan_unsupported:
-                plan = None
-                fresh = False
-            else:
-                plan_key = self._plan_key()
-                plan = self._plan_cache.get(plan_key)
-                fresh = False
-                if plan is None:
-                    try:
-                        with obs_span("plan.record"):
-                            plan = record_plan(self.model)
-                        fresh = True
-                    except PlanUnsupported:
-                        self._plan_unsupported = True
-        if plan is None:
-            self._plan_fallbacks.inc()
-            with obs_span("sample.ego_blocks"):
-                blocks = sampler.ego_blocks(nodes, self._fanouts, key=key)
-            with obs_span("engine.unfused_forward"):
-                return self.model.predict_logits_blocks(
-                    self.session.features, blocks
-                )
-
-        segment = self.config.megabatch_segment
+    def _compute(
+        self, nodes: np.ndarray, sampler: NeighborSampler, key: int
+    ) -> np.ndarray:
+        """Logit rows of one miss batch: one ``ego_blocks`` call, then plan
+        replay (recording and validating the plan on first use) or the
+        unfused forward."""
         with obs_span("sample.ego_blocks") as sample_span:
-            sample_span.set(nodes=int(nodes.size), segment=segment)
-            stacks = [
-                sampler.ego_blocks(
-                    nodes[start : start + segment], self._fanouts, key=key
+            sample_span.set(nodes=int(nodes.size))
+            blocks = sampler.ego_blocks(nodes, self._fanouts, key=key)
+        plan = None
+        fresh = False
+        if self.config.plan:
+            with self._plan_lock:
+                if not self._plan_unsupported:
+                    plan_key = self._plan_key()
+                    plan = self._plan_cache.get(plan_key)
+                    if plan is None:
+                        try:
+                            with obs_span("plan.record"):
+                                plan = record_plan(self.model)
+                            fresh = True
+                        except PlanUnsupported:
+                            self._plan_unsupported = True
+            if plan is None:
+                self._plan_fallbacks.inc()
+        if plan is None:
+            with obs_span("engine.unfused_forward"):
+                return self.model.predict_logits_blocks(
+                    self.session.features, blocks
                 )
-                for start in range(0, nodes.size, segment)
-            ]
+
         dense = get_backend_name() == "dense"
-        packed = pack_blocks(stacks, plan.kinds, dense=dense)
+        packed = pack_blocks(blocks, plan.kinds, dense=dense)
         with self._plan_lock:
             rows = plan.replay(self.session.features, packed, self._buffers)
             if not fresh:
                 self._plan_replays.inc()
-                self._megabatches.inc()
-                self._megabatch_nodes.inc(int(nodes.size))
                 return rows
         # First use of a fresh recording: check it against the unfused
         # forward on this batch before caching it for replay.
-        reference = np.vstack(
-            [
-                self.model.predict_logits_blocks(self.session.features, stack)
-                for stack in stacks
-            ]
-        )
+        reference = self.model.predict_logits_blocks(self.session.features, blocks)
         if np.allclose(rows, reference, rtol=0.0, atol=1e-8):
             self._plan_cache.put(plan_key, plan)
             self._plans_recorded.inc()
-            self._megabatches.inc()
-            self._megabatch_nodes.inc(int(nodes.size))
             return rows
         with self._plan_lock:  # pragma: no cover - defensive guard
             self._plan_unsupported = True
@@ -509,14 +473,16 @@ class InferenceEngine:
     def _on_mutation(self, event: MutationEvent) -> None:
         hops = self._layers if self._layers is not None else DEFAULT_FALLBACK_HOPS
         with self._lock:
-            if self._sampler is not None:
+            expected, _, sampler = self._view
+            if sampler is not None:
                 # Incremental retarget: splice only the touched rows' degrees
                 # instead of rebuilding the O(m) degree vector.  The copying
                 # variant keeps snapshot semantics — an in-flight _compute
                 # holds a consistent pre-mutation sampler.
-                self._sampler = self._sampler.with_mutation(event)
-            expected = self._last_revision
-            self._last_revision = event.revision
+                sampler = sampler.with_mutation(event)
+            self._view = (
+                event.revision, self._sampling_key(event.version), sampler
+            )
         with self._plan_lock:
             # The memoised full-graph fallback was computed over the old
             # structure; the revision key already prevents reuse, dropping it

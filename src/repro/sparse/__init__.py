@@ -14,7 +14,6 @@ from repro.sparse.ops import (
     append_empty_node_csr,
     apply_edge_updates_csr,
     binary_neighborhoods_csr,
-    block_diag_csr,
     gather_neighbor_positions,
     gather_neighbors,
     gcn_norm_csr,
@@ -72,7 +71,6 @@ __all__ = [
     "splice_rows_csr",
     "apply_edge_updates_csr",
     "append_empty_node_csr",
-    "block_diag_csr",
     "spmm",
     "spmv",
     "OperatorCache",

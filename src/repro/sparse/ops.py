@@ -11,7 +11,7 @@ beyond floating-point round-off.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.sparse.csr import CSRMatrix, gather_row_positions
 
 __all__ = [
     "INF_HOPS",
-    "block_diag_csr",
     "gcn_norm_csr",
     "left_norm_csr",
     "mean_aggregation_csr",
@@ -45,47 +44,6 @@ INF_HOPS = -1
 def _require_square(matrix: CSRMatrix, name: str) -> None:
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square, got shape {matrix.shape}")
-
-
-def block_diag_csr(blocks: Sequence[CSRMatrix]) -> CSRMatrix:
-    """Pack CSR blocks into one block-diagonal CSR matrix.
-
-    The result has shape ``(Σ rows_i, Σ cols_i)``; block ``i`` occupies the
-    row band ``[Σ_{j<i} rows_j, …)`` and the column band ``[Σ_{j<i} cols_j,
-    …)``.  Entry values and within-row ordering are preserved exactly, so
-    ``packed @ vstack(x_i)`` computes every per-block product ``block_i @
-    x_i`` bit-for-bit (the row-segment sum kernel sees identical terms in
-    identical order).  This is the megabatching kernel of the fused serving
-    path: the many small ego-block propagation matrices of one coalesced
-    request flush run as a single spmm per layer.  Zero-row and zero-entry
-    blocks are allowed (their bands are simply empty).
-    """
-    if not blocks:
-        raise ValueError("block_diag_csr needs at least one block")
-    if len(blocks) == 1:
-        block = blocks[0]
-        return CSRMatrix._from_parts(
-            block.indptr, block.indices, block.data, block.shape
-        )
-    rows = 0
-    cols = 0
-    nnz = 0
-    indptr_parts = [np.zeros(1, dtype=np.int64)]
-    indices_parts = []
-    data_parts = []
-    for block in blocks:
-        indptr_parts.append(block.indptr[1:] + nnz)
-        indices_parts.append(block.indices + cols if cols else block.indices)
-        data_parts.append(block.data)
-        rows += block.shape[0]
-        cols += block.shape[1]
-        nnz += block.nnz
-    return CSRMatrix._from_parts(
-        np.concatenate(indptr_parts),
-        np.concatenate(indices_parts) if nnz else np.empty(0, dtype=np.int64),
-        np.concatenate(data_parts) if nnz else np.empty(0, dtype=np.float64),
-        (rows, cols),
-    )
 
 
 def gcn_norm_csr(adjacency: CSRMatrix) -> CSRMatrix:

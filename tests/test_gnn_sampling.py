@@ -958,6 +958,89 @@ class TestLayerKernelMatchesReference:
         assert np.flatnonzero(keep).tolist() == [0, 1, 3, 5, 6, 7, 8, 9]
 
 
+# --------------------------------------------------------------------- #
+# Propagation builder vs the reference COO builder
+# --------------------------------------------------------------------- #
+# The reference below is the earlier block_propagation, kept verbatim: self
+# loops appended as COO triplets and sorted by CSRMatrix.from_coo, then the
+# CSR row/column scalings.  The O(nnz) builder must match it byte for byte.
+def _reference_with_self_loops(block: SampledBlock) -> CSRMatrix:
+    """The block adjacency plus unit self-loop entries for every dst node."""
+    adjacency = block.adjacency
+    num_dst = block.num_dst
+    rows = np.repeat(np.arange(num_dst, dtype=np.int64), np.diff(adjacency.indptr))
+    diag = np.arange(num_dst, dtype=np.int64)
+    return CSRMatrix.from_coo(
+        np.concatenate([rows, diag]),
+        # dst nodes are a prefix of src nodes: local self column of dst i is i
+        np.concatenate([adjacency.indices, diag]),
+        np.concatenate([adjacency.data, np.ones(num_dst)]),
+        adjacency.shape,
+    )
+
+
+def _reference_block_propagation(block: SampledBlock, kind: str) -> CSRMatrix:
+    degrees = block.src_degrees
+    if kind == "gcn":
+        base = _reference_with_self_loops(block)
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+        return base.scale_rows(inv_sqrt[: block.num_dst]).scale_cols(inv_sqrt)
+    if kind == "left":
+        base = _reference_with_self_loops(block)
+        return base.scale_rows(1.0 / degrees[: block.num_dst])
+    base = _reference_with_self_loops(block) if kind == "mean" else block.adjacency
+    sampled = base.row_sums()
+    inverse = np.zeros_like(sampled)
+    populated = sampled > 0
+    inverse[populated] = 1.0 / sampled[populated]
+    return base.scale_rows(inverse)
+
+
+def _csr_bytes(matrix: CSRMatrix):
+    return (
+        matrix.shape,
+        matrix.indptr.tobytes(),
+        matrix.indices.tobytes(),
+        matrix.data.tobytes(),
+    )
+
+
+class TestBlockPropagationMatchesReference:
+    KINDS = ("gcn", "left", "mean", "mean_noself")
+
+    def _assert_pinned(self, blocks, label):
+        for block in blocks:
+            for kind in self.KINDS:
+                ours = block_propagation(block, kind)
+                ref = _reference_block_propagation(block, kind)
+                assert _csr_bytes(ours) == _csr_bytes(ref), (label, kind)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_sampled_and_exhaustive_blocks(self, seed):
+        csr = _random_weighted_graph(seed)
+        sampler = NeighborSampler(csr, seed=seed)
+        for name, nodes in _dst_variants(csr.shape[0], seed).items():
+            for fanouts in ((None, None), (1, 3), (3, 3)):
+                blocks = sampler.ego_blocks(nodes, fanouts, key=seed)
+                self._assert_pinned(blocks, (name, fanouts))
+
+    def test_isolated_dst_rows_and_zero_entry_block(self):
+        graph = _path_graph_with_isolates()
+        sampler = NeighborSampler(graph.csr(), seed=0)
+        mixed = sampler.sample_layer_keyed(np.array([6, 2, 5, 0]), None, key=1)
+        empty = sampler.sample_layer_keyed(np.array([5, 6]), 2, key=1)
+        assert empty.adjacency.nnz == 0
+        self._assert_pinned([mixed, empty], "isolates")
+
+    def test_stored_self_loops_are_summed(self):
+        dense = _random_weighted_graph(5).to_dense()
+        np.fill_diagonal(dense, np.linspace(0.5, 2.0, dense.shape[0]))
+        sampler = NeighborSampler(CSRMatrix.from_dense(dense), seed=0)
+        nodes = np.random.default_rng(1).permutation(dense.shape[0])[:20]
+        for fanouts in ((None, None), (2, 4)):
+            self._assert_pinned(sampler.ego_blocks(nodes, fanouts, key=2), fanouts)
+
+
 class TestDestinationValidation:
     @pytest.fixture
     def sampler(self):

@@ -416,8 +416,6 @@ class TestShardStatsSnapshot:
             plans_recorded=1,
             plan_replays=4,
             plan_fallbacks=0,
-            megabatches=5,
-            megabatch_nodes=40,
         )
         payload.update(overrides)
         return ShardStatsSnapshot(**payload)
@@ -680,8 +678,6 @@ class TestShardStatsOptionalSections:
             plans_recorded=1,
             plan_replays=4,
             plan_fallbacks=0,
-            megabatches=5,
-            megabatch_nodes=40,
         )
         payload.update(overrides)
         return ShardStatsSnapshot(**payload)

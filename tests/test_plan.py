@@ -2,13 +2,10 @@
 
 Acceptance properties:
 
-* **block-diag packing** — ``block_diag_csr`` is exactly the dense block
-  diagonal for every edge case the megabatcher produces (zero-row blocks,
-  zero-entry blocks, single-node blocks, mixed fanouts);
 * **record/replay equality** — a recorded plan replayed over packed blocks
   reproduces ``predict_logits_blocks`` to 1e-8 (bitwise on the sparse
-  backend) for GCN (2- and 3-layer) and GraphSAGE, single- and
-  multi-segment, on both backends;
+  backend) for GCN (2- and 3-layer) and GraphSAGE on both backends, and one
+  large engine call equals the same nodes served in small chunks;
 * **engine integration** — the fused serving path equals the unfused one
   before and after graph mutations, counters distinguish recording from
   replay, unsupported models fall back transparently, and a registry-style
@@ -21,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import generate_scaling_graph
 from repro.gnn.models import build_model
 from repro.gnn.plan import (
     BufferPool,
@@ -42,7 +40,6 @@ from repro.serve import (
 )
 from repro.sparse.backend import use_backend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import block_diag_csr
 
 
 @pytest.fixture(scope="module")
@@ -68,103 +65,6 @@ def plan_models(tiny_graph):
         model.eval()
         models[name] = model
     return models
-
-
-def _dense_block_diag(blocks):
-    rows = sum(block.shape[0] for block in blocks)
-    cols = sum(block.shape[1] for block in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for block in blocks:
-        out[r : r + block.shape[0], c : c + block.shape[1]] = block.to_dense()
-        r += block.shape[0]
-        c += block.shape[1]
-    return out
-
-
-def _random_csr(rng, rows, cols, density=0.3):
-    return CSRMatrix.from_dense((rng.random((rows, cols)) < density) * rng.random((rows, cols)))
-
-
-# --------------------------------------------------------------------- #
-# block_diag_csr
-# --------------------------------------------------------------------- #
-class TestBlockDiagCSR:
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one block"):
-            block_diag_csr([])
-
-    def test_single_block_passthrough(self):
-        rng = np.random.default_rng(0)
-        block = _random_csr(rng, 5, 7)
-        packed = block_diag_csr([block])
-        assert packed.shape == block.shape
-        np.testing.assert_array_equal(packed.to_dense(), block.to_dense())
-
-    def test_zero_row_block(self):
-        """A block with zero rows only shifts the column offset."""
-        rng = np.random.default_rng(1)
-        blocks = [
-            _random_csr(rng, 3, 4),
-            CSRMatrix.from_dense(np.zeros((0, 5))),
-            _random_csr(rng, 2, 2),
-        ]
-        packed = block_diag_csr(blocks)
-        assert packed.shape == (5, 11)
-        np.testing.assert_array_equal(packed.to_dense(), _dense_block_diag(blocks))
-
-    def test_zero_entry_block(self):
-        """An isolated-dst block (no neighbours at all) packs as empty rows."""
-        rng = np.random.default_rng(2)
-        blocks = [
-            _random_csr(rng, 4, 4),
-            CSRMatrix.from_dense(np.zeros((3, 6))),
-            _random_csr(rng, 2, 3),
-        ]
-        packed = block_diag_csr(blocks)
-        assert packed.nnz == blocks[0].nnz + blocks[2].nnz
-        np.testing.assert_array_equal(packed.to_dense(), _dense_block_diag(blocks))
-
-    def test_single_node_blocks(self):
-        blocks = [
-            CSRMatrix.from_dense(np.array([[2.5]])),
-            CSRMatrix.from_dense(np.array([[0.0]])),
-            CSRMatrix.from_dense(np.array([[1.0]])),
-        ]
-        packed = block_diag_csr(blocks)
-        np.testing.assert_array_equal(packed.to_dense(), _dense_block_diag(blocks))
-
-    def test_all_empty_blocks(self):
-        blocks = [
-            CSRMatrix.from_dense(np.zeros((2, 3))),
-            CSRMatrix.from_dense(np.zeros((1, 4))),
-        ]
-        packed = block_diag_csr(blocks)
-        assert packed.nnz == 0
-        assert packed.shape == (3, 7)
-        np.testing.assert_array_equal(packed.to_dense(), np.zeros((3, 7)))
-
-    def test_mixed_fanouts_values_exact(self):
-        """Values and within-row order survive packing bit-for-bit."""
-        rng = np.random.default_rng(3)
-        blocks = [_random_csr(rng, rng.integers(1, 9), rng.integers(1, 9)) for _ in range(6)]
-        packed = block_diag_csr(blocks)
-        np.testing.assert_array_equal(packed.to_dense(), _dense_block_diag(blocks))
-        offset = 0
-        for block in blocks:
-            np.testing.assert_array_equal(
-                packed.data[offset : offset + block.nnz], block.data
-            )
-            offset += block.nnz
-
-    def test_spmm_equals_per_block_spmm(self):
-        rng = np.random.default_rng(4)
-        blocks = [_random_csr(rng, 5, 6), _random_csr(rng, 3, 2), _random_csr(rng, 4, 7)]
-        feats = [rng.random((block.shape[1], 3)) for block in blocks]
-        packed = block_diag_csr(blocks)
-        got = packed.matmul_dense(np.vstack(feats))
-        expected = np.vstack([b.matmul_dense(f) for b, f in zip(blocks, feats)])
-        np.testing.assert_array_equal(got, expected)
 
 
 # --------------------------------------------------------------------- #
@@ -228,32 +128,53 @@ class TestReplay:
         rng = np.random.default_rng(5)
         nodes = rng.choice(tiny_graph.num_nodes, size=48, replace=False)
         with use_backend(backend):
-            # Single segment and a 4-way megabatch must agree with the
-            # unfused forward over exactly the same blocks.
-            whole = sampler.ego_blocks(nodes, fanouts, key=3)
-            reference = model.predict_logits_blocks(tiny_graph.features, whole)
-            packed = pack_blocks([whole], plan.kinds, dense=backend == "dense")
-            np.testing.assert_allclose(
-                plan.replay(tiny_graph.features, packed, BufferPool()),
-                reference,
-                rtol=0,
-                atol=1e-8,
-            )
-            stacks = [
-                sampler.ego_blocks(chunk, fanouts, key=3)
-                for chunk in np.array_split(nodes, 4)
-            ]
-            packed = pack_blocks(stacks, plan.kinds, dense=backend == "dense")
+            # The replay must agree with the unfused forward over exactly
+            # the same blocks.
+            blocks = sampler.ego_blocks(nodes, fanouts, key=3)
+            unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
+            packed = pack_blocks(blocks, plan.kinds, dense=backend == "dense")
             fused = plan.replay(tiny_graph.features, packed, BufferPool())
-            unfused = np.vstack(
-                [
-                    model.predict_logits_blocks(tiny_graph.features, stack)
-                    for stack in stacks
-                ]
-            )
             np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-8)
             if backend == "sparse":
                 np.testing.assert_array_equal(fused, unfused)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", ["gcn", "graphsage"])
+    def test_one_call_equals_chunked_calls(self, backend, name):
+        """One 1,500-node engine call equals the same nodes in 64-node calls.
+
+        Keyed sampling makes every node's blocks independent of its batch;
+        only the within-row summation order follows the block-local ids, so
+        the batchings agree to round-off.  Within the large call the replay
+        is bitwise equal to the unfused forward on the sparse backend.
+        """
+        csr, features, _ = generate_scaling_graph(
+            2_000, num_classes=3, average_degree=8.0, num_features=8, seed=0
+        )
+        model = build_model(
+            name, in_features=8, num_classes=3, hidden_features=8, rng=0
+        )
+        model.eval()
+        nodes = np.random.default_rng(0).choice(2_000, size=1_500, replace=False)
+        chunks = np.array_split(nodes, range(64, nodes.size, 64))
+        with use_backend(backend):
+            fused, unfused = (
+                InferenceEngine(
+                    model,
+                    GraphSession(csr, features),
+                    ServeConfig(fanouts=(5, 5), cache=False, plan=plan),
+                    plan_cache=PlanCache(),
+                )
+                for plan in (True, False)
+            )
+            whole = fused.predict_logits(nodes)
+            chunked = np.vstack([fused.predict_logits(chunk) for chunk in chunks])
+            reference = unfused.predict_logits(nodes)
+        assert fused.cache_stats.plan_replays == len(chunks)
+        np.testing.assert_allclose(whole, chunked, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(whole, reference, rtol=0, atol=1e-8)
+        if backend == "sparse":
+            np.testing.assert_array_equal(whole, reference)
 
     def test_replay_sampled_fanouts(self, tiny_graph, plan_models):
         model = plan_models["graphsage"]
@@ -262,18 +183,10 @@ class TestReplay:
         sampler = NeighborSampler(csr, seed=1)
         nodes = np.arange(30)
         with use_backend("sparse"):
-            stacks = [
-                sampler.ego_blocks(chunk, (3, 3), key=9)
-                for chunk in np.array_split(nodes, 3)
-            ]
-            packed = pack_blocks(stacks, plan.kinds, dense=False)
+            blocks = sampler.ego_blocks(nodes, (3, 3), key=9)
+            packed = pack_blocks(blocks, plan.kinds, dense=False)
             fused = plan.replay(tiny_graph.features, packed, BufferPool())
-            unfused = np.vstack(
-                [
-                    model.predict_logits_blocks(tiny_graph.features, stack)
-                    for stack in stacks
-                ]
-            )
+            unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
         np.testing.assert_array_equal(fused, unfused)
 
     def test_pack_rejects_mismatched_depth(self, tiny_graph, plan_models):
@@ -282,9 +195,7 @@ class TestReplay:
         sampler = NeighborSampler(csr, seed=0)
         stack = sampler.ego_blocks(np.arange(4), (None,) * 2, key=0)
         with pytest.raises(ValueError, match="depth"):
-            pack_blocks([stack[:1]], plan.kinds)
-        with pytest.raises(ValueError, match="at least one segment"):
-            pack_blocks([], plan.kinds)
+            pack_blocks(stack[:1], plan.kinds)
 
     def test_buffer_pool_buckets(self):
         pool = BufferPool()
@@ -316,7 +227,7 @@ class TestEnginePlans:
             fused = InferenceEngine(
                 model,
                 fused_session,
-                ServeConfig(cache=False, megabatch_segment=16),
+                ServeConfig(cache=False),
                 plan_cache=PlanCache(),
             )
             unfused = InferenceEngine(
@@ -354,23 +265,19 @@ class TestEnginePlans:
         engine = InferenceEngine(
             model,
             session,
-            ServeConfig(cache=False, megabatch_segment=8),
+            ServeConfig(cache=False),
             plan_cache=PlanCache(),
         )
         engine.predict_logits(np.arange(20))
         stats = engine.cache_stats
         assert stats.plans_recorded == 1
         assert stats.plan_replays == 0
-        assert stats.megabatches == 1
-        assert stats.megabatch_nodes == 20
         for start in (20, 40, 60):
             engine.predict_logits(np.arange(start, start + 20))
         stats = engine.cache_stats
         assert stats.plans_recorded == 1, "plan must be recorded exactly once"
         assert stats.plan_replays == 3
         assert stats.plan_fallbacks == 0
-        assert stats.megabatch_nodes == 80
-        assert stats.mean_megabatch_size == 20.0
 
     def test_plan_shared_across_engines(self, tiny_graph, plan_models):
         """Replicas with one plan cache record once between them."""
@@ -502,46 +409,38 @@ class TestEnginePlans:
 # Batcher coalescing
 # --------------------------------------------------------------------- #
 class TestBatcherCoalescing:
-    def test_megabatch_pop_and_stats(self, tiny_graph, plan_models):
-        model = plan_models["gcn"]
-        session = GraphSession.from_graph(tiny_graph.copy())
-        engine = InferenceEngine(
-            model, session, ServeConfig(cache=False), plan_cache=PlanCache()
-        )
-        batcher = RequestBatcher(engine, max_batch_size=8, coalesce_batches=4)
-        futures = [batcher.submit(node) for node in range(30)]
-        assert batcher.flush() == 30
-        stats = batcher.stats
-        # 30 requests, megabatch limit 32: one pop serves them all.
-        assert stats.batches == 1
-        assert stats.megabatches == 1
-        assert stats.largest_batch == 30
-        reference = engine.predict_proba(np.arange(30))
-        for future, row in zip(futures, reference):
-            np.testing.assert_allclose(future.result(), row, atol=0)
-
-    def test_coalesce_one_restores_micro_batches(self, tiny_graph, plan_models):
-        engine = InferenceEngine(
+    @pytest.fixture
+    def engine(self, tiny_graph, plan_models):
+        return InferenceEngine(
             plan_models["gcn"],
             GraphSession.from_graph(tiny_graph.copy()),
             ServeConfig(cache=False),
             plan_cache=PlanCache(),
         )
-        batcher = RequestBatcher(engine, max_batch_size=8, coalesce_batches=1)
+
+    def test_one_pop_per_engine_call_and_stats(self, engine):
+        batcher = RequestBatcher(engine, max_batch_size=32)
+        futures = [batcher.submit(node) for node in range(30)]
+        assert batcher.flush() == 30
+        stats = batcher.stats
+        # 30 requests, limit 32: one pop and one engine call serve them all.
+        assert stats.batches == 1
+        assert stats.largest_batch == 30
+        assert engine.cache_stats.plans_recorded == 1
+        reference = engine.predict_proba(np.arange(30))
+        for future, row in zip(futures, reference):
+            np.testing.assert_allclose(future.result(), row, atol=0)
+
+    def test_pops_bounded_by_max_batch_size(self, engine):
+        batcher = RequestBatcher(engine, max_batch_size=8)
         for node in range(30):
             batcher.submit(node)
         batcher.flush()
         stats = batcher.stats
         assert stats.batches == 4
-        assert stats.megabatches == 0
         assert stats.largest_batch == 8
 
-    def test_coalesce_validation(self, tiny_graph, plan_models):
-        engine = InferenceEngine(
-            plan_models["gcn"],
-            GraphSession.from_graph(tiny_graph.copy()),
-            ServeConfig(cache=False),
-            plan_cache=PlanCache(),
-        )
-        with pytest.raises(ValueError, match="coalesce_batches"):
-            RequestBatcher(engine, coalesce_batches=0)
+    def test_coalesce_validation(self, engine):
+        assert RequestBatcher(engine).max_batch_size == 512
+        with pytest.raises(ValueError, match="max_batch_size"):
+            RequestBatcher(engine, max_batch_size=0)

@@ -17,11 +17,15 @@ Acceptance properties:
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import generate_scaling_graph
 from repro.gnn.models import build_model
 from repro.gnn.trainer import TrainConfig, Trainer
 from repro.graphs.perturb import add_edges as dense_add_edges
@@ -406,6 +410,89 @@ class TestIncrementalUpdates:
         assert missing == [5] and not found, "stale row was resurrected"
 
 
+    def test_miss_racing_a_mutation_samples_one_version(self):
+        """Regression: the session bumps its version before notifying the
+        engine, so a miss running in between (here: inside an earlier
+        listener) once sampled the old structure under the new key and
+        matched neither version.  It must answer for the old version."""
+        csr, features, _ = generate_scaling_graph(
+            2_000, num_classes=3, average_degree=8.0, num_features=8, seed=0
+        )
+        model = build_model("gcn", in_features=8, num_classes=3, hidden_features=8, rng=0)
+        model.eval()
+        config = ServeConfig(fanouts=(3, 3), cache=False)
+        nodes = np.arange(2_000)
+        pairs = np.array([[0, 1_000], [7, 1_500], [42, 1_999]])
+        old = InferenceEngine(model, GraphSession(csr, features), config)
+        old_reference = old.predict_logits(nodes)
+
+        session = GraphSession(csr, features)
+        raced = []
+        session.add_listener(lambda event: raced.append(engine.predict_logits(nodes)))
+        engine = InferenceEngine(model, session, config)
+        session.add_edges(pairs)
+        new_reference = InferenceEngine(
+            model, GraphSession(session.csr, features, initial_version=1), config
+        ).predict_logits(nodes)
+
+        np.testing.assert_array_equal(raced[0], old_reference)
+        assert not np.allclose(old_reference, new_reference, atol=1e-8)
+        np.testing.assert_array_equal(engine.predict_logits(nodes), new_reference)
+
+    def test_concurrent_misses_each_match_one_version(self):
+        """Readers racing a stream of mutations: every answer equals the
+        answer for exactly one session version."""
+        csr, features, _ = generate_scaling_graph(
+            2_000, num_classes=3, average_degree=8.0, num_features=8, seed=0
+        )
+        model = build_model("gcn", in_features=8, num_classes=3, hidden_features=8, rng=0)
+        model.eval()
+        config = ServeConfig(fanouts=(3, 3), cache=False)
+        nodes = np.arange(0, 2_000, 5)
+        mutations = [np.array([[k, 1_000 + k], [2 * k + 1, 1_999 - k]]) for k in range(6)]
+
+        reference_session = GraphSession(csr, features)
+        reference = InferenceEngine(model, reference_session, config)
+        expected = [reference.predict_logits(nodes)]
+        for pairs in mutations:
+            reference_session.add_edges(pairs)
+            expected.append(reference.predict_logits(nodes))
+
+        session = GraphSession(csr, features)
+        # A slow earlier listener widens the window between the session's
+        # version bump and the engine's own notification.
+        session.add_listener(lambda event: time.sleep(0.002))
+        engine = InferenceEngine(model, session, config)
+        answers, errors = [], []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    answers.append(engine.predict_logits(nodes))
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for pairs in mutations:
+                session.add_edges(pairs)
+                time.sleep(0.005)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert answers
+        for answer in answers:
+            assert any(np.array_equal(answer, rows) for rows in expected)
+
+
 # --------------------------------------------------------------------- #
 # Request batching
 # --------------------------------------------------------------------- #
@@ -591,7 +678,7 @@ class TestPlanServing:
             return original(self, features, adjacency)
 
         monkeypatch.setattr(type(model), "predict_logits", counting)
-        batcher = RequestBatcher(engine, max_batch_size=4, coalesce_batches=1)
+        batcher = RequestBatcher(engine, max_batch_size=4)
         for node in range(12):
             batcher.submit(node)
         assert batcher.flush() == 12
