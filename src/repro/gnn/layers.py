@@ -180,7 +180,11 @@ class SAGEConv(Module):
         ``None`` and the self term uses ``x`` itself.
         """
         aggregated = neighbor_mean.matmul(x)
-        self_input = x if x_dst is None else x_dst
+        return self.combine(x if x_dst is None else x_dst, aggregated)
+
+    def combine(self, self_input: Tensor, aggregated: Tensor) -> Tensor:
+        """The layer's transform of its self input and an already computed
+        neighbourhood mean (``neighbor_mean.matmul(x)``)."""
         out = self_input.matmul(self.weight_self) + aggregated.matmul(self.weight_neighbor)
         if self.bias is not None:
             out = out + self.bias

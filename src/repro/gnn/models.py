@@ -27,7 +27,14 @@ from repro.gnn.normalization import attention_mask, build_propagation
 from repro.nn import functional as F
 from repro.nn.module import Dropout, Module
 from repro.nn.tensor import Tensor
+from repro.sparse.backend import (
+    DenseOperator,
+    PropagationOperator,
+    SparseOperator,
+    resolve_backend,
+)
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.opcache import cached_build
 from repro.utils.rng import RandomState, ensure_rng, spawn_children
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
@@ -36,6 +43,12 @@ AdjacencyLike = Union[np.ndarray, CSRMatrix]
 
 def _as_tensor(value: ArrayOrTensor) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _frozen(tensor: Tensor) -> Tensor:
+    """Mark ``tensor``'s data read-only: cached values are shared by callers."""
+    tensor.data.flags.writeable = False
+    return tensor
 
 
 class GNNModel(Module):
@@ -241,62 +254,62 @@ class GraphSAGE(GNNModel):
         self.num_samples = num_samples
         self._sample_rng = rng_sample
 
-    def _aggregation(self, adjacency: AdjacencyLike):
-        if self.training and self.num_samples is not None:
-            adjacency = self._sample_neighbors(adjacency)
-        return build_propagation(adjacency, kind="mean_noself")
+    def _sampled_aggregation(self, adjacency: AdjacencyLike) -> PropagationOperator:
+        """Neighbourhood mean over at most ``num_samples`` neighbours per node.
 
-    def _sample_neighbors(self, adjacency: AdjacencyLike) -> AdjacencyLike:
-        if isinstance(adjacency, CSRMatrix):
-            return self._sample_neighbors_csr(adjacency)
-        sampled = np.zeros_like(adjacency)
-        for node in range(adjacency.shape[0]):
-            neighbors = np.nonzero(adjacency[node])[0]
-            if neighbors.size == 0:
-                continue
-            if neighbors.size > self.num_samples:
-                neighbors = self._sample_rng.choice(
-                    neighbors, size=self.num_samples, replace=False
-                )
-            sampled[node, neighbors] = 1.0
-        return sampled
-
-    def _sample_neighbors_csr(self, adjacency: CSRMatrix) -> CSRMatrix:
-        """Per-node neighbour subsampling on CSR structure.
-
-        The result is intentionally non-symmetric (each node samples its own
-        incoming aggregation set), matching the dense sampling path.
+        Rows with more neighbours draw their subset with one ``rng.choice``
+        each, in ascending node order, from the row's neighbour list (the
+        CSR structure of ``adjacency``, memoised per revision for dense
+        input).  The operator holds ``1/deg`` on every kept entry, ignoring
+        edge weights, and is intentionally non-symmetric: each node samples
+        its own incoming aggregation set.  Its backend is the one
+        :func:`build_propagation` resolves for the sample laid out like
+        ``adjacency``.
         """
-        rows: list = []
-        cols: list = []
-        indptr, indices = adjacency.indptr, adjacency.indices
-        for node in range(adjacency.shape[0]):
-            neighbors = indices[indptr[node] : indptr[node + 1]]
-            if neighbors.size == 0:
-                continue
-            if neighbors.size > self.num_samples:
-                neighbors = self._sample_rng.choice(
-                    neighbors, size=self.num_samples, replace=False
-                )
-            rows.append(np.full(neighbors.size, node, dtype=np.int64))
-            cols.append(neighbors)
-        if not rows:
-            return CSRMatrix.from_coo(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                adjacency.shape,
+        if isinstance(adjacency, CSRMatrix):
+            neighbors = adjacency
+        else:
+            neighbors = cached_build(
+                (adjacency,), ("neighbors",), lambda: CSRMatrix.from_dense(adjacency)
             )
-        row_idx = np.concatenate(rows)
-        col_idx = np.concatenate(cols)
-        return CSRMatrix.from_coo(
-            row_idx, col_idx, np.ones(row_idx.size, dtype=np.float64), adjacency.shape
+        indptr = neighbors.indptr
+        degrees = np.diff(indptr)
+        keep = np.ones(neighbors.nnz, dtype=bool)
+        for node in np.flatnonzero(degrees > self.num_samples):
+            start = indptr[node]
+            chosen = self._sample_rng.choice(
+                degrees[node], size=self.num_samples, replace=False
+            )
+            keep[start : indptr[node + 1]] = False
+            keep[start + chosen] = True
+        counts = np.minimum(degrees, self.num_samples)
+        inverse = np.zeros(counts.size)
+        populated = counts > 0
+        inverse[populated] = 1.0 / counts[populated]
+        sample_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=sample_indptr[1:])
+        sample = CSRMatrix._from_parts(
+            sample_indptr, neighbors.indices[keep], np.repeat(inverse, counts), neighbors.shape
         )
+        if resolve_backend(adjacency, nnz=sample.nnz).name == "sparse":
+            return SparseOperator(sample)
+        return DenseOperator(sample.to_dense())
 
     def forward(self, features: ArrayOrTensor, adjacency: AdjacencyLike) -> Tensor:
         x = _as_tensor(features)
-        aggregation = self._aggregation(adjacency)
-        x = self.conv0(x, aggregation)
+        if self.training and self.num_samples is not None:
+            aggregation = self._sampled_aggregation(adjacency)
+            neighbor_mean = aggregation.matmul(x)
+        else:
+            aggregation = build_propagation(adjacency, kind="mean_noself")
+            # Constant for a fixed structure and feature matrix: memoised
+            # against both revisions (Graph tags its features).
+            neighbor_mean = cached_build(
+                (adjacency, features),
+                ("mean_noself", aggregation.backend),
+                lambda: _frozen(aggregation.matmul(x)),
+            )
+        x = self.conv0.combine(x, neighbor_mean)
         x = F.relu(x)
         x = F.normalize_rows(x)
         x = self.dropout(x)

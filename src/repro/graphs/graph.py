@@ -3,7 +3,9 @@
 A graph is ``G = {A, X}`` with an optional label vector and train/val/test
 masks, mirroring the notation of Section III of the paper.  The container is
 immutable by convention: structure-modifying operations return new ``Graph``
-instances (see :mod:`repro.graphs.perturb`).
+instances (see :mod:`repro.graphs.perturb`).  Both the adjacency and the
+feature matrix carry owned revision tags (:mod:`repro.graphs.revision`), the
+keys of the operator cache (:mod:`repro.sparse.opcache`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ class Graph:
         ``(N, N)`` symmetric binary (or weighted) adjacency matrix without
         self-loops.
     features:
-        ``(N, F)`` node-feature matrix.
+        ``(N, F)`` node-feature matrix.  Immutable like the adjacency: it is
+        tagged with an owned revision at construction, so derived products
+        (GraphSAGE's input-layer neighbourhood mean) are cached against it.
+        Work on a copy, or call :meth:`bump_revision` after an in-place
+        change.
     labels:
         Optional ``(N,)`` integer class labels.
     train_mask / val_mask / test_mask:
@@ -70,6 +76,7 @@ class Graph:
                     check_mask(np.asarray(mask), num_nodes=self.num_nodes, name=mask_name),
                 )
         self._revision = tag_adjacency(self.adjacency, owned=True)
+        tag_adjacency(self.features, owned=True)
         self._csr_cache: Optional[Tuple[int, object]] = None
 
     # ------------------------------------------------------------------ #
@@ -90,13 +97,14 @@ class Graph:
         return self._revision
 
     def bump_revision(self) -> int:
-        """Declare an in-place mutation of ``adjacency``.
+        """Declare an in-place mutation of ``adjacency`` or ``features``.
 
-        Assigns a fresh revision, re-tags the adjacency array and drops the
-        cached CSR view.  Mutating ``adjacency`` without calling this voids
-        the operator-cache contract.
+        Assigns a fresh revision, re-tags the adjacency and feature arrays
+        and drops the cached CSR view.  Mutating either array without
+        calling this voids the operator-cache contract.
         """
         self._revision = tag_adjacency(self.adjacency, owned=True)
+        tag_adjacency(self.features, owned=True)
         self._csr_cache = None
         return self._revision
 
@@ -158,6 +166,7 @@ class Graph:
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         self._revision = tag_adjacency(self.adjacency, owned=True)
+        tag_adjacency(self.features, owned=True)
         self._csr_cache = None
 
     # ------------------------------------------------------------------ #

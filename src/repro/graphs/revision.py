@@ -7,10 +7,11 @@ stop rebuilding them.  Caching a derived operator is only sound if the cache
 key changes whenever the underlying structure changes, so this module
 maintains a process-wide *revision registry*:
 
-* every :class:`repro.graphs.Graph` tags its adjacency with a fresh,
-  monotonically increasing revision id at construction and bumps it on any
-  mutation (``bump_revision``; structure-deriving helpers like
-  ``with_adjacency`` construct a new ``Graph`` and therefore a new revision);
+* every :class:`repro.graphs.Graph` tags its adjacency and its feature
+  matrix with fresh, monotonically increasing revision ids at construction
+  and re-tags both on any mutation (``bump_revision``; structure-deriving
+  helpers like ``with_adjacency`` construct a new ``Graph`` and therefore a
+  new revision);
 * perturbation producers (:mod:`repro.core.perturbation`,
   :mod:`repro.privacy.dp`) tag the arrays they return as *owned* — they
   allocate them and never mutate them afterwards;

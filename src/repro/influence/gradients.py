@@ -66,15 +66,17 @@ def per_node_loss_gradients(
 ) -> List[np.ndarray]:
     """Gradient of each individual node's loss ``∇_θ L(ŷ_v, y_v; θ)``.
 
-    One backward pass per node; the graph forward is recomputed each time so
-    the autodiff tape stays small.
+    One eval-mode forward, then one backward pass per node through it.  The
+    backward pass keeps its accumulators per call, and the parameter
+    gradients are cleared around each one, so every vector is bitwise the
+    gradient a fresh forward for that node would give.
     """
     if graph.labels is None:
         raise ValueError("graph has no labels")
     indices = graph.train_indices() if indices is None else np.asarray(indices, dtype=np.int64)
+    logits = _forward_logits(model, graph, adjacency)
     gradients: List[np.ndarray] = []
     for node in indices:
-        logits = _forward_logits(model, graph, adjacency)
         loss = cross_entropy(logits[np.array([node])], graph.labels[np.array([node])])
         gradients.append(_collect_gradient(model, loss))
     return gradients

@@ -254,7 +254,7 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
         _ACTIVE_BACKEND.reset(token)
 
 
-def _auto_choice(adjacency: AdjacencyLike) -> str:
+def _auto_choice(adjacency: AdjacencyLike, nnz: Optional[int]) -> str:
     if isinstance(adjacency, CSRMatrix):
         # Already sparse: densifying would defeat the caller's intent.
         return "sparse"
@@ -263,23 +263,27 @@ def _auto_choice(adjacency: AdjacencyLike) -> str:
     if n < AUTO_MIN_NODES:
         return "dense"
     cells = adjacency.size
-    density = np.count_nonzero(adjacency) / cells if cells else 0.0
+    if nnz is None:
+        nnz = np.count_nonzero(adjacency)
+    density = nnz / cells if cells else 0.0
     return "sparse" if density <= AUTO_MAX_DENSITY else "dense"
 
 
 def resolve_backend(
-    adjacency: AdjacencyLike, name: Optional[str] = None
+    adjacency: AdjacencyLike, name: Optional[str] = None, nnz: Optional[int] = None
 ) -> ComputeBackend:
     """Resolve the backend for ``adjacency``.
 
     ``name`` overrides the context selection; ``"auto"`` (the default
     selection) applies the nnz-density heuristic: CSR inputs and large
     low-density graphs go sparse, everything else stays on the exact dense
-    path.
+    path.  ``nnz`` replaces the non-zero count of a dense ``adjacency``: it
+    resolves a same-shaped structure derived from ``adjacency`` (such as a
+    neighbour sample) without materialising it densely.
     """
     key = _check_selectable(name) if name is not None else _ACTIVE_BACKEND.get()
     if key == "auto":
-        key = _auto_choice(adjacency)
+        key = _auto_choice(adjacency, nnz)
     return _REGISTRY[key]
 
 
@@ -294,22 +298,14 @@ def build_propagation(
     the operator is memoised under ``(revision, kind, backend)`` — repeated
     forwards over an unchanged structure (every training epoch, every PPFR
     fine-tune step) reuse it instead of renormalising.  Untagged arrays are
-    built fresh every time, so e.g. GraphSAGE's per-epoch sampled
-    neighbourhoods are never cached.
+    built fresh every time.
     """
-    from repro.graphs.revision import adjacency_revision
-    from repro.sparse.opcache import active_operator_cache
+    from repro.sparse.opcache import cached_build
 
     resolved = resolve_backend(adjacency, backend)
-    cache = active_operator_cache()
-    if cache is not None:
-        revision = adjacency_revision(adjacency)
-        if revision is not None:
-            return cache.get_or_build(
-                (revision, kind, resolved.name),
-                lambda: resolved.build_operator(adjacency, kind),
-            )
-    return resolved.build_operator(adjacency, kind)
+    return cached_build(
+        (adjacency,), (kind, resolved.name), lambda: resolved.build_operator(adjacency, kind)
+    )
 
 
 register_backend("dense", DenseBackend())

@@ -1,25 +1,39 @@
-"""Memoisation of propagation operators keyed by graph revision.
+"""Memoisation of constant graph work keyed by graph revision.
 
 Building a propagation operator — GCN symmetric normalisation, left
 normalisation, GraphSAGE neighbourhood means — costs O(N²) on the dense path
 and O(m) on CSR, and the training loop rebuilds it on *every* forward pass:
 each vanilla epoch, each PPFR fine-tune step, each per-epoch evaluation.
-This module adds a dynamically-scoped cache in front of
-:func:`repro.sparse.backend.build_propagation`:
+This module adds a dynamically-scoped cache in front of that constant work.
+It holds three kinds of entry:
 
-* entries are keyed by ``(revision, kind, backend_name)`` where ``revision``
-  comes from the graph revision registry (:mod:`repro.graphs.revision`) — an
-  adjacency without a revision tag is *never* cached, and any mutation bumps
-  the revision, so a stale normalisation cannot be served;
+* propagation operators (:func:`repro.sparse.backend.build_propagation`),
+  keyed by ``(revision, kind, backend_name)``;
+* neighbour lists of a dense adjacency — its CSR structure, which
+  GraphSAGE's training-mode sampler draws from — keyed by
+  ``(revision, "neighbors")``;
+* an operator applied to a feature matrix — GraphSAGE's input-layer
+  neighbourhood mean outside sampled training — keyed by
+  ``(revision, features_revision, kind, backend_name)``.
+
+Soundness rests on the revisions:
+
+* ``revision`` comes from the graph revision registry
+  (:mod:`repro.graphs.revision`) — an array without a revision tag is
+  *never* cached, and any mutation bumps the revision, so a stale
+  normalisation cannot be served;
+* ``features_revision`` is the tag :class:`repro.graphs.Graph` puts on its
+  feature matrix; untagged features (a caller's perturbed copy, say) are
+  never cached;
 * the active cache is a :class:`contextvars.ContextVar`, mirroring the
   backend selection and autodiff mode flags, so parallel grid executors can
   scope caches per cell without interference;
 * storage is a small thread-safe LRU — dense operators are O(N²) arrays, so
   the cache bounds its footprint instead of growing with the experiment grid.
 
-Operators are built deterministically from the adjacency, so enabling the
-cache changes wall-clock only, never results (the equivalence is asserted by
-the executor-determinism tests).
+Every entry is built deterministically from its tagged inputs, so enabling
+the cache changes wall-clock only, never results (the equivalence is
+asserted by the executor-determinism and cache-soundness tests).
 """
 
 from __future__ import annotations
@@ -29,19 +43,21 @@ import contextvars
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "OperatorCacheStats",
     "OperatorCache",
     "active_operator_cache",
+    "cached_build",
     "use_operator_cache",
 ]
 
 DEFAULT_MAXSIZE = 32
 """Default LRU capacity (operators, not bytes)."""
 
-CacheKey = Tuple[int, str, str]
+CacheKey = Tuple
+"""The revisions of an entry's tagged inputs, then what it was built as."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,7 @@ class OperatorCacheStats:
 
 
 class OperatorCache:
-    """Thread-safe LRU of propagation operators keyed by graph revision."""
+    """Thread-safe LRU of constant graph work keyed by graph revision."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         if maxsize <= 0:
@@ -140,3 +156,21 @@ def use_operator_cache(cache: Optional[OperatorCache]) -> Iterator[Optional[Oper
         yield cache
     finally:
         _ACTIVE_CACHE.reset(token)
+
+
+def cached_build(tagged: Sequence[object], key: Tuple, builder: Callable[[], object]) -> object:
+    """``builder()``, memoised in the active cache.
+
+    The entry is keyed by the revisions of the ``tagged`` inputs followed by
+    ``key``.  It is built fresh, and not stored, when no cache is active or
+    when any of ``tagged`` carries no revision tag.
+    """
+    cache = _ACTIVE_CACHE.get()
+    if cache is None:
+        return builder()
+    from repro.graphs.revision import adjacency_revision
+
+    revisions = tuple(adjacency_revision(obj) for obj in tagged)
+    if None in revisions:
+        return builder()
+    return cache.get_or_build(revisions + tuple(key), builder)

@@ -14,8 +14,21 @@ from repro.gnn.normalization import (
     row_normalize_features,
 )
 from repro.gnn.trainer import TrainConfig, Trainer
+from repro.graphs.revision import adjacency_revision
 from repro.fairness.inform import inform_regularizer
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.sparse.backend import (
+    AUTO_MIN_NODES,
+    DenseOperator,
+    SparseOperator,
+    build_propagation,
+    use_backend,
+)
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.opcache import OperatorCache, use_operator_cache
+from repro.sparse.ops import mean_aggregation_csr
+from repro.utils.validation import check_adjacency
 
 
 class TestNormalization:
@@ -231,3 +244,265 @@ class TestEvaluation:
         unlabeled.labels = None
         with pytest.raises(ValueError):
             evaluate_accuracy(trained_gcn, unlabeled)
+
+
+# --------------------------------------------------------------------------- #
+# GraphSAGE's training-mode neighbour sampler, pinned against the per-row
+# loops it replaced.  The three functions below are verbatim copies of the
+# old dense loop, the old CSR loop and the dense mean operator.
+# --------------------------------------------------------------------------- #
+def _reference_sample_dense(self, adjacency):
+    sampled = np.zeros_like(adjacency)
+    for node in range(adjacency.shape[0]):
+        neighbors = np.nonzero(adjacency[node])[0]
+        if neighbors.size == 0:
+            continue
+        if neighbors.size > self.num_samples:
+            neighbors = self._sample_rng.choice(
+                neighbors, size=self.num_samples, replace=False
+            )
+        sampled[node, neighbors] = 1.0
+    return sampled
+
+
+def _reference_sample_csr(self, adjacency):
+    rows: list = []
+    cols: list = []
+    indptr, indices = adjacency.indptr, adjacency.indices
+    for node in range(adjacency.shape[0]):
+        neighbors = indices[indptr[node] : indptr[node + 1]]
+        if neighbors.size == 0:
+            continue
+        if neighbors.size > self.num_samples:
+            neighbors = self._sample_rng.choice(
+                neighbors, size=self.num_samples, replace=False
+            )
+        rows.append(np.full(neighbors.size, node, dtype=np.int64))
+        cols.append(neighbors)
+    if not rows:
+        return CSRMatrix.from_coo(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+            adjacency.shape,
+        )
+    row_idx = np.concatenate(rows)
+    col_idx = np.concatenate(cols)
+    return CSRMatrix.from_coo(
+        row_idx, col_idx, np.ones(row_idx.size, dtype=np.float64), adjacency.shape
+    )
+
+
+def _reference_mean_aggregation_matrix(adjacency, include_self=True):
+    if isinstance(adjacency, CSRMatrix):
+        return mean_aggregation_csr(adjacency, include_self=include_self)
+    adjacency = check_adjacency(adjacency)
+    base = adjacency.copy()
+    if include_self:
+        base = base + np.eye(base.shape[0])
+    degrees = base.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = np.where(degrees > 0, base / degrees, 0.0)
+    return result
+
+
+def _reference_aggregation(model, adjacency):
+    """The old ``GraphSAGE._aggregation``: sample, then ``build_propagation``
+    (whose dense kernel is the verbatim mean operator above)."""
+    if model.training and model.num_samples is not None:
+        if isinstance(adjacency, CSRMatrix):
+            adjacency = _reference_sample_csr(model, adjacency)
+        else:
+            adjacency = _reference_sample_dense(model, adjacency)
+    operator = build_propagation(adjacency, kind="mean_noself")
+    if isinstance(operator, DenseOperator):
+        dense = adjacency.to_dense() if isinstance(adjacency, CSRMatrix) else adjacency
+        expected = _reference_mean_aggregation_matrix(dense, include_self=False)
+        assert operator.matrix.tobytes() == expected.tobytes()
+    return operator
+
+
+def _sampler_graph(weighted: bool) -> np.ndarray:
+    """40 nodes: rows below, at and above a fanout of 4, and isolated rows."""
+    rng = np.random.default_rng(5)
+    n = 40
+    upper = np.triu((rng.random((n, n)) < 0.12).astype(float), k=1)
+    upper[0, 1:12] = 1.0  # hub: well above the fanout
+    upper[:, [38, 39]] = 0.0
+    upper[[38, 39], :] = 0.0  # isolated rows
+    adjacency = upper + upper.T
+    if weighted:
+        adjacency *= rng.uniform(0.5, 3.0, size=(n, n))
+        adjacency = np.triu(adjacency, 1) + np.triu(adjacency, 1).T
+    degrees = np.count_nonzero(adjacency, axis=1)
+    assert (degrees > 4).any() and (degrees == 4).any() and (degrees < 4).any()
+    assert (degrees == 0).sum() == 2
+    return adjacency
+
+
+def _operator_bytes(operator):
+    matrix = operator.matrix
+    if isinstance(matrix, CSRMatrix):
+        return (matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes())
+    return (matrix.tobytes(),)
+
+
+def _twin_sage(num_samples, seed=3):
+    return [
+        GraphSAGE(16, 8, 3, dropout=0.5, num_samples=num_samples, rng=seed) for _ in range(2)
+    ]
+
+
+class TestSamplerMatchesPerRowLoops:
+    @pytest.mark.parametrize("csr_input", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["binary", "weighted"])
+    @pytest.mark.parametrize("num_samples", [1, 4, 60])
+    def test_operator_and_rng_state_match(self, csr_input, backend, weighted, num_samples):
+        adjacency = _sampler_graph(weighted)
+        if csr_input:
+            adjacency = CSRMatrix.from_dense(adjacency)
+        new, old = _twin_sage(num_samples)
+        new.train()
+        old.train()
+        with use_backend(backend):
+            for _ in range(3):  # successive draws keep the streams aligned
+                got = new._sampled_aggregation(adjacency)
+                expected = _reference_aggregation(old, adjacency)
+                assert type(got) is type(expected)
+                assert _operator_bytes(got) == _operator_bytes(expected)
+        assert new._sample_rng.bit_generator.state == old._sample_rng.bit_generator.state
+        assert new._sample_rng.random(3).tobytes() == old._sample_rng.random(3).tobytes()
+
+    def test_auto_backend_resolves_on_the_sample(self):
+        """A large dense graph above auto's density limit goes dense, but its
+        fanout-limited sample is sparse enough for CSR — as before."""
+        n = AUTO_MIN_NODES + 8
+        rng = np.random.default_rng(0)
+        upper = np.triu((rng.random((n, n)) < 0.08).astype(float), k=1)
+        adjacency = upper + upper.T
+        new, old = _twin_sage(5)
+        new.train()
+        old.train()
+        got = new._sampled_aggregation(adjacency)
+        expected = _reference_aggregation(old, adjacency)
+        assert isinstance(got, SparseOperator) and isinstance(expected, SparseOperator)
+        assert _operator_bytes(got) == _operator_bytes(expected)
+
+    @pytest.mark.parametrize("csr_input", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("num_samples", [4, None])
+    def test_training_forward_matches_reference(self, csr_input, num_samples):
+        adjacency = _sampler_graph(weighted=True)
+        if csr_input:
+            adjacency = CSRMatrix.from_dense(adjacency)
+        features = np.random.default_rng(1).normal(size=(40, 16))
+        new, old = _twin_sage(num_samples)
+        new.train()
+        old.train()
+        for _ in range(2):
+            got = new(features, adjacency).data
+            aggregation = _reference_aggregation(old, adjacency)
+            x = old.conv0(Tensor(features), aggregation)
+            x = old.dropout(F.normalize_rows(F.relu(x)))
+            expected = old.conv1(x, aggregation).data
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestConstantWorkCache:
+    """The operator cache holds GraphSAGE's neighbour lists and its eval-mode
+    input mean; neither may ever change a result."""
+
+    @staticmethod
+    def _sage(graph, num_samples=2):
+        return GraphSAGE(graph.num_features, 8, graph.num_classes, num_samples=num_samples, rng=4)
+
+    @staticmethod
+    def _uncached(model, features, adjacency):
+        with use_operator_cache(None):
+            return model.predict_logits(features, adjacency)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_cached_eval_forward_is_bitwise_uncached(self, tiny_graph, backend):
+        model = self._sage(tiny_graph)
+        graph = tiny_graph.copy()
+        with use_backend(backend):
+            expected = self._uncached(model, graph.features, graph.adjacency)
+            with use_operator_cache(OperatorCache()):
+                for _ in range(3):
+                    got = model.predict_logits(graph.features, graph.adjacency)
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_repeated_eval_forwards_hit(self, tiny_graph):
+        model = self._sage(tiny_graph)
+        graph = tiny_graph.copy()
+        cache = OperatorCache()
+        with use_operator_cache(cache):
+            model.predict_logits(graph.features, graph.adjacency)
+            first = cache.stats
+            model.predict_logits(graph.features, graph.adjacency)
+            model.predict_logits(graph.features, graph.adjacency)
+        assert (first.hits, first.misses) == (0, 2)  # operator and input mean
+        assert (cache.stats.hits, cache.stats.misses) == (4, 2)
+
+    def test_mutated_feature_copy_never_hits(self, tiny_graph):
+        """LinkTeller's pattern: one copy of the features, perturbed in place
+        between queries."""
+        model = self._sage(tiny_graph)
+        graph = tiny_graph.copy()
+        cache = OperatorCache()
+        with use_operator_cache(cache):
+            model.predict_logits(graph.features, graph.adjacency)
+            probe = graph.features.copy()
+            for step in range(3):
+                probe[step] *= 1.5
+                got = model.predict_logits(probe, graph.adjacency)
+                expected = self._uncached(model, probe.copy(), graph.adjacency)
+                assert got.tobytes() == expected.tobytes()
+        assert len(cache) == 2  # the operator and the Graph's own input mean
+
+    def test_bump_revision_and_with_adjacency_miss(self, tiny_graph):
+        model = self._sage(tiny_graph)
+        graph = tiny_graph.copy()
+        cache = OperatorCache()
+        with use_operator_cache(cache):
+            before = model.predict_logits(graph.features, graph.adjacency)
+            tags = adjacency_revision(graph.adjacency), adjacency_revision(graph.features)
+            graph.features[:5] *= 2.0
+            graph.bump_revision()
+            retagged = adjacency_revision(graph.adjacency), adjacency_revision(graph.features)
+            assert None not in tags and retagged[0] != tags[0] and retagged[1] != tags[1]
+            after = model.predict_logits(graph.features, graph.adjacency)
+            assert cache.stats.misses == 4 and cache.stats.hits == 0
+            assert after.tobytes() != before.tobytes()
+            assert after.tobytes() == self._uncached(
+                model, graph.features.copy(), graph.adjacency.copy()
+            ).tobytes()
+            adjacency = graph.adjacency.copy()
+            adjacency[0, 1] = adjacency[1, 0] = 1.0 - adjacency[0, 1]
+            derived = graph.with_adjacency(adjacency)
+            got = model.predict_logits(derived.features, derived.adjacency)
+            assert cache.stats.misses == 6 and cache.stats.hits == 0
+        assert got.tobytes() == self._uncached(
+            model, derived.features.copy(), derived.adjacency.copy()
+        ).tobytes()
+
+    def test_sampled_training_forward_reads_only_neighbor_lists(self, tiny_graph, monkeypatch):
+        graph = tiny_graph.copy()
+        cached_model, plain_model = self._sage(graph), self._sage(graph)
+        cache = OperatorCache()
+        keys = []
+        build = cache.get_or_build
+        monkeypatch.setattr(
+            cache, "get_or_build", lambda key, builder: keys.append(key) or build(key, builder)
+        )
+        with use_operator_cache(cache):
+            cached_model.predict_logits(graph.features, graph.adjacency)  # fills the input mean
+            keys.clear()
+            cached_model.train()
+            got = [cached_model(graph.features, graph.adjacency).data for _ in range(2)]
+        plain_model.train()
+        with use_operator_cache(None):
+            expected = [plain_model(graph.features, graph.adjacency).data for _ in range(2)]
+        assert keys == [(graph.revision, "neighbors")] * 2
+        assert cache.stats.hits == 1  # the second forward's neighbour lists
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gnn.models import build_model
 from repro.influence.correlation import influence_correlation_table, is_conforming, pearson_correlation
 from repro.influence.functions import InfluenceConfig, InfluenceEstimator
 from repro.influence.gradients import (
@@ -20,8 +21,9 @@ from repro.influence.hessian import (
     make_loss_gradient_function,
 )
 from repro.nn.losses import cross_entropy
-from repro.nn.parameters import parameters_to_vector
+from repro.nn.parameters import gradients_to_vector, parameters_to_vector, zero_gradients
 from repro.nn.tensor import Tensor
+from repro.sparse.backend import use_backend
 
 
 class TestGradients:
@@ -36,6 +38,39 @@ class TestGradients:
         per_node = per_node_loss_gradients(trained_gcn, tiny_graph, indices=indices)
         total = training_loss_gradient(trained_gcn, tiny_graph, indices=indices)
         np.testing.assert_allclose(np.mean(per_node, axis=0), total, atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["gcn", "graphsage"])
+    def test_per_node_gradients_match_one_forward_per_node(self, name, tiny_graph):
+        """One shared forward gives bitwise the gradients of a fresh forward
+        per node, and leaves every parameter gradient cleared."""
+        model = build_model(
+            name, tiny_graph.num_features, tiny_graph.num_classes, hidden_features=8, rng=9
+        )
+        model.train()
+        indices = tiny_graph.train_indices()[:12]
+        params = list(model.parameters())
+
+        def reference():
+            gradients = []
+            for node in indices:
+                model.eval()
+                logits = model(tiny_graph.features, tiny_graph.adjacency)
+                model.train()
+                loss = cross_entropy(logits[np.array([node])], tiny_graph.labels[np.array([node])])
+                zero_gradients(params)
+                loss.backward()
+                gradients.append(gradients_to_vector(params))
+                zero_gradients(params)
+            return gradients
+
+        with use_backend("dense"):
+            expected = reference()
+            got = per_node_loss_gradients(model, tiny_graph, indices=indices)
+        assert len(got) == len(expected)
+        for actual, wanted in zip(got, expected):
+            assert actual.tobytes() == wanted.tobytes()
+        assert all(param.grad is None for param in params)
+        assert model.training
 
     def test_gradient_matches_numerical(self, trained_gcn, tiny_graph):
         """Autodiff parameter gradient agrees with finite differences of the loss."""
