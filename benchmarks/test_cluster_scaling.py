@@ -100,7 +100,7 @@ def _cluster_metrics(model, csr, features, batches) -> dict:
         answers = [router.predict_logits(batch) for batch in batches]
         elapsed = time.perf_counter() - start
         stats = router.stats()
-        partition = router.partition.stats(csr)
+        owned_sizes = np.bincount(router.owners, minlength=NUM_SHARDS).tolist()
     # correctness: a whole timed batch of cluster answers equals a fresh engine's
     reference = InferenceEngine(
         model, GraphSession(csr, features), ServeConfig(fanouts=FANOUTS)
@@ -115,7 +115,7 @@ def _cluster_metrics(model, csr, features, batches) -> dict:
     return {
         "rps": REQUESTS / elapsed,
         "spawn_seconds": spawn_seconds,
-        "partition": partition,
+        "owned_sizes": owned_sizes,
         "per_shard_requests": [s["requests"] for s in stats.shards],
     }
 
@@ -132,7 +132,6 @@ def test_cluster_cold_miss_scaling(benchmark):
     cores = _effective_cores()
     metrics = run_once(benchmark, _report)
     speedup = metrics["rps"] / metrics["single_rps"]
-    partition = metrics["partition"]
     print()
     print(
         f"single process:  {metrics['single_rps']:8.1f} req/s   "
@@ -144,9 +143,7 @@ def test_cluster_cold_miss_scaling(benchmark):
         f"{cores} core(s) available)"
     )
     print(
-        f"partition:       balance {partition['balance']:.2f}, "
-        f"edge cut {partition['edge_cut']:.2f}, "
-        f"replication {partition['replication']:.2f}x, "
+        f"ownership:       owned sizes {metrics['owned_sizes']}, "
         f"shard requests {metrics['per_shard_requests']}"
     )
     assert speedup >= 0.25, f"cluster overhead factor {speedup:.2f}x is pathological"

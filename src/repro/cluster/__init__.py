@@ -1,31 +1,24 @@
-"""Sharded multi-process serving: partitioner, shard workers, router.
+"""Sharded multi-process serving: ownership, shard workers, router.
 
 The single-process :class:`~repro.serve.engine.InferenceEngine` computes
 every cache miss under one GIL.  This package scales it across processes:
 
-* :mod:`repro.cluster.partition` — hash / degree-balanced greedy ownership
-  plus k-hop **halo** (ghost) replication, emitted as global-shape row-subset
-  structures so in-shard ego-block prediction is *exact*;
-* :mod:`repro.cluster.worker` — one ``GraphSession`` + ``InferenceEngine``
-  replica per shard, in-process or behind a child-process command pipe,
-  parameters loaded from the shared :class:`~repro.serve.registry.ModelRegistry`;
+* :mod:`repro.cluster.partition` — hash / degree-balanced greedy node
+  ownership, which decides the shard that answers and caches each node;
+* :mod:`repro.cluster.worker` — one full-graph ``GraphSession`` +
+  ``InferenceEngine`` replica per shard, in-process or behind a
+  child-process command pipe, parameters loaded from the shared
+  :class:`~repro.serve.registry.ModelRegistry`;
 * :mod:`repro.cluster.router` — the front-end: routes requests to owning
-  shards, fans mutations out through the ``MutationListener`` protocol with
-  per-shard halo rebuilds and version-sync ticks, rebalances ownership on
-  ``add_node`` and aggregates per-shard stats.
+  shards, fans every mutation's changed rows out to every replica through
+  the ``MutationListener`` protocol, assigns ownership on ``add_node`` and
+  aggregates per-shard stats.
 
 ``python -m repro.cluster serve --shards N`` serves a registered model over
-a worker cluster; ``python -m repro.cluster partition`` reports partition
-quality (balance, edge-cut, halo replication).
+a worker cluster.
 """
 
-from repro.cluster.partition import (
-    PARTITION_STRATEGIES,
-    GraphPartition,
-    ShardPartition,
-    assign_owners,
-    partition_graph,
-)
+from repro.cluster.partition import PARTITION_STRATEGIES, assign_owners
 from repro.cluster.router import ClusterStats, ShardRouter
 from repro.cluster.worker import (
     ClusterWorkerError,
@@ -38,10 +31,7 @@ from repro.cluster.worker import (
 
 __all__ = [
     "PARTITION_STRATEGIES",
-    "GraphPartition",
-    "ShardPartition",
     "assign_owners",
-    "partition_graph",
     "ClusterStats",
     "ShardRouter",
     "ClusterWorkerError",

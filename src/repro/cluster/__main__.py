@@ -6,10 +6,6 @@ Serve a registered model over four shard worker processes, mutating the
 graph across shard boundaries halfway through the request stream::
 
     python -m repro.cluster serve --name cora-gcn --shards 4 --requests 200 --mutate 16
-
-Inspect partition quality without serving::
-
-    python -m repro.cluster partition --dataset cora --shards 4 --strategy greedy
 """
 
 from __future__ import annotations
@@ -21,9 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cluster.partition import PARTITION_STRATEGIES, partition_graph
+from repro.cluster.partition import PARTITION_STRATEGIES
 from repro.cluster.router import ShardRouter
-from repro.datasets import load_dataset
 from repro.obs.metrics import active_metrics, next_instance
 from repro.obs.profile import format_top, global_profiler, set_profiling
 from repro.obs.slo import check_slo, format_slo, resolve_slo_histograms
@@ -50,12 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--version", type=int, default=None)
     serve.add_argument("--shards", type=int, default=2)
     serve.add_argument("--strategy", default="greedy", choices=PARTITION_STRATEGIES)
-    serve.add_argument(
-        "--halo",
-        type=int,
-        default=None,
-        help="halo depth (default: the model's message-passing depth)",
-    )
     serve.add_argument("--requests", type=int, default=100)
     serve.add_argument(
         "--fanouts",
@@ -84,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.serve.__main__ import add_telemetry_arguments
 
     add_telemetry_arguments(serve)
-
-    part = commands.add_parser(
-        "partition", help="report partition quality for a dataset surrogate"
-    )
-    part.add_argument("--dataset", default="cora")
-    part.add_argument("--scale", type=float, default=0.45)
-    part.add_argument("--seed", type=int, default=0)
-    part.add_argument("--shards", type=int, default=4)
-    part.add_argument("--strategy", default="greedy", choices=PARTITION_STRATEGIES)
-    part.add_argument("--halo", type=int, default=2)
     return parser
 
 
@@ -131,15 +110,14 @@ def cmd_serve(args) -> int:
         session,
         num_shards=num_shards,
         strategy=args.strategy,
-        halo_hops=args.halo,
         config=ServeConfig(fanouts=args.fanouts),
         workers="process",
         model_ref=(args.registry, args.name, meta["version"]),
     )
+    owned_sizes = np.bincount(router.owners, minlength=num_shards).tolist()
     print(
-        f"cluster up: {args.shards} shard processes, strategy={args.strategy}, "
-        f"halo={router.halo_hops} "
-        f"(owned sizes {[int(s.owned.size) for s in router.partition.shards]})"
+        f"cluster up: {args.shards} shard processes, strategy={args.strategy} "
+        f"(owned sizes {owned_sizes})"
     )
 
     rng = np.random.default_rng(args.seed)
@@ -204,10 +182,10 @@ def cmd_serve(args) -> int:
         # into the router-side registry/profiler makes the final telemetry
         # snapshot (and `repro.obs top`) span the whole cluster.
         merged_histograms = stats.merged_histograms()
-        merged_profile = stats.merged_profile()
-        if merged_profile is not None:
-            global_profiler().merge_table(merged_profile.get("ops", {}))
-            global_profiler().merge_memory(merged_profile.get("memory", {}))
+        for shard in stats.shards:
+            if shard.profile:
+                global_profiler().merge_table(shard.profile["ops"])
+                global_profiler().merge_memory(shard.profile["memory"])
         if emitter is not None:
             emitter.stop()
             print(f"telemetry: snapshots at {args.obs_path}")
@@ -230,8 +208,8 @@ def cmd_serve(args) -> int:
             )
         for shard in stats.shards:
             print(
-                f"  shard {shard['shard_id']}: owned {shard['owned']} "
-                f"(+{shard['halo']} halo), {shard['requests']} requests, "
+                f"  shard {shard['shard_id']}: owned {shard['owned']}, "
+                f"{shard['requests']} requests, "
                 f"{shard['hits']} hits / {shard['misses']} misses "
                 f"({shard['invalidated']} invalidated)"
             )
@@ -290,33 +268,8 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_partition(args) -> int:
-    graph = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    partition = partition_graph(
-        graph.csr(),
-        graph.features,
-        args.shards,
-        strategy=args.strategy,
-        halo_hops=args.halo,
-    )
-    stats = partition.stats(graph.csr())
-    print(
-        f"{args.dataset}: {graph.num_nodes} nodes → {args.shards} shards "
-        f"({args.strategy}, halo {args.halo})"
-    )
-    print(f"  owned sizes:  {stats['owned_sizes']}")
-    print(f"  halo sizes:   {stats['halo_sizes']}")
-    print(f"  balance:      {stats['balance']:.3f} (max owned / ideal)")
-    print(f"  edge cut:     {stats['edge_cut']:.3f} of edges cross shards")
-    print(f"  replication:  {stats['replication']:.2f}× nodes resident")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "serve":
-        return cmd_serve(args)
-    return cmd_partition(args)
+    return cmd_serve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,52 +1,26 @@
-"""Graph partitioning with k-hop halo replication for sharded serving.
+"""Node ownership for sharded serving.
 
-A shard owns a subset of the nodes and answers prediction requests for them
-only.  For an L-layer message-passing model the prediction of an owned node
-reads the adjacency rows of every node within L-1 hops and the features of
-every node within L hops — so each shard replicates, next to its owned
-partition, the **halo** (ghost) nodes within ``halo_hops`` of it.  The shard
-structure is the *row subset* of the global CSR over owned ∪ halo
-(:func:`repro.sparse.ops.row_subset_csr`): same shape, same global node ids,
-full adjacency lists for every local node, empty rows elsewhere.  Keeping
-global ids makes ego-block extraction, keyed fanout sampling and k-hop
-dirty-set invalidation over the shard view *byte-identical* to the global
-computation wherever the shard has complete knowledge — which is exactly the
-receptive fields of its owned nodes.  That is the invariant the cluster
-equivalence tests assert to 1e-8 (in fact bitwise) on both backends.
-
-Two ownership strategies are provided:
+Every shard worker holds a full replica of the graph; ownership only decides
+which shard answers (and caches) the predictions of which node, so that each
+logit cache stays local to one process.  Two strategies are provided:
 
 * ``hash`` — SplitMix64 of the node id modulo the shard count: stateless,
-  O(N), balanced in expectation, oblivious to structure (high edge-cut).
+  O(N), balanced in expectation, oblivious to structure.
 * ``greedy`` — degree-descending linear deterministic greedy (LDG): each
   node joins the shard holding most of its already-placed neighbours,
   damped by a fill factor so shards stay balanced.  Deterministic, O(N + m),
-  and markedly lower edge-cut / halo replication on clustered graphs.
-
-Per-shard memory is O(N) index overhead plus O(local nodes · F + local
-edges) payload — the partitioned quantities are the ones that dominate at
-scale.
+  with a markedly lower edge-cut on clustered graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.graphs.khop import khop_frontier
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import row_subset_csr
 
-__all__ = [
-    "PARTITION_STRATEGIES",
-    "ShardPartition",
-    "GraphPartition",
-    "assign_owners",
-    "partition_graph",
-]
+__all__ = ["PARTITION_STRATEGIES", "assign_owners"]
 
 PARTITION_STRATEGIES = ("hash", "greedy")
 
@@ -101,150 +75,3 @@ def assign_owners(
     if strategy == "hash":
         return _hash_owners(adjacency.shape[0], num_shards)
     return _greedy_owners(adjacency, num_shards)
-
-
-@dataclass
-class ShardPartition:
-    """One shard's slice of the graph.
-
-    ``owned`` are the nodes this shard answers for; ``halo`` the ghost nodes
-    within ``halo_hops`` of them (both global ids, sorted); ``local`` their
-    sorted union.  ``csr`` is the global-shape row-subset structure with full
-    rows exactly for ``local``; ``features`` holds the local nodes' feature
-    rows aligned with ``local`` (the only feature payload shipped to a
-    worker).
-    """
-
-    shard_id: int
-    num_shards: int
-    halo_hops: int
-    owned: np.ndarray
-    halo: np.ndarray
-    local: np.ndarray
-    csr: CSRMatrix
-    features: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        """Global node-id space size (not the local node count)."""
-        return self.csr.shape[0]
-
-    def padded_features(self, num_features: Optional[int] = None) -> np.ndarray:
-        """Globally indexable ``(N, F)`` feature matrix, zero off-shard.
-
-        Models index features by global source-node id, so the worker
-        materialises this padded view; only the ``local`` rows are populated
-        (every ego block of an owned node stays inside them).
-        """
-        if num_features is None:
-            num_features = self.features.shape[1]
-        padded = np.zeros((self.num_nodes, num_features), dtype=np.float64)
-        padded[self.local] = self.features
-        return padded
-
-
-@dataclass
-class GraphPartition:
-    """The full sharding: per-node owners plus every shard's partition."""
-
-    owners: np.ndarray
-    shards: List[ShardPartition]
-    halo_hops: int
-    strategy: str
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def stats(self, adjacency: Optional[CSRMatrix] = None) -> Dict:
-        """Balance / edge-cut / replication summary (CLI + benchmark report)."""
-        owned_sizes = [int(shard.owned.size) for shard in self.shards]
-        halo_sizes = [int(shard.halo.size) for shard in self.shards]
-        n = int(self.owners.size)
-        stats = {
-            "num_shards": self.num_shards,
-            "strategy": self.strategy,
-            "halo_hops": self.halo_hops,
-            "owned_sizes": owned_sizes,
-            "halo_sizes": halo_sizes,
-            "balance": (
-                max(owned_sizes) / (n / self.num_shards) if n else float("nan")
-            ),
-            "replication": (
-                sum(owned_sizes[i] + halo_sizes[i] for i in range(self.num_shards))
-                / n
-                if n
-                else float("nan")
-            ),
-        }
-        if adjacency is not None:
-            rows = adjacency.row_indices()
-            cut = int(np.count_nonzero(self.owners[rows] != self.owners[adjacency.indices]))
-            stats["edge_cut"] = cut / max(int(adjacency.nnz), 1)
-        return stats
-
-
-def _build_shard(
-    shard_id: int,
-    num_shards: int,
-    halo_hops: int,
-    adjacency: CSRMatrix,
-    features: np.ndarray,
-    owned: np.ndarray,
-) -> ShardPartition:
-    local = khop_frontier(adjacency, owned, halo_hops)
-    halo = np.setdiff1d(local, owned, assume_unique=True)
-    return ShardPartition(
-        shard_id=shard_id,
-        num_shards=num_shards,
-        halo_hops=halo_hops,
-        owned=owned,
-        halo=halo,
-        local=local,
-        csr=row_subset_csr(adjacency, local),
-        features=np.asarray(features, dtype=np.float64)[local],
-    )
-
-
-def partition_graph(
-    adjacency: CSRMatrix,
-    features: np.ndarray,
-    num_shards: int,
-    strategy: str = "greedy",
-    halo_hops: int = 2,
-    owners: Optional[np.ndarray] = None,
-) -> GraphPartition:
-    """Partition a graph into ``num_shards`` shards with k-hop halos.
-
-    ``owners`` overrides the strategy with a precomputed assignment (every
-    entry in ``0..num_shards-1``).  ``halo_hops`` must be at least the served
-    model's message-passing depth for in-shard prediction to be exact.
-    """
-    if halo_hops < 0:
-        raise ValueError("halo_hops must be non-negative")
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != adjacency.shape[0]:
-        raise ValueError("features must be (N, F) with one row per node")
-    if owners is None:
-        owners = assign_owners(adjacency, num_shards, strategy)
-    else:
-        owners = np.asarray(owners, dtype=np.int64)
-        if owners.shape != (adjacency.shape[0],):
-            raise ValueError("owners must assign every node")
-        if owners.size and (owners.min() < 0 or owners.max() >= num_shards):
-            raise ValueError("owner ids out of range")
-        strategy = "explicit"
-    shards = [
-        _build_shard(
-            shard_id,
-            num_shards,
-            halo_hops,
-            adjacency,
-            features,
-            np.flatnonzero(owners == shard_id).astype(np.int64),
-        )
-        for shard_id in range(num_shards)
-    ]
-    return GraphPartition(
-        owners=owners, shards=shards, halo_hops=halo_hops, strategy=strategy
-    )

@@ -2,29 +2,26 @@
 
 :class:`ShardRouter` is the cluster's single entry point.  It keeps the
 *global* :class:`~repro.serve.session.GraphSession` (the source of truth the
-rest of the library mutates), partitions it once at construction
-(:func:`repro.cluster.partition.partition_graph`), spawns one worker replica
-per shard and then:
+rest of the library mutates), assigns every node an owner shard once at
+construction (:func:`repro.cluster.partition.assign_owners`), spawns one
+full-graph worker replica per shard and then:
 
 * **routes** prediction requests to the shard that owns each node, fanning a
   mixed batch out to every involved shard in one concurrent round trip —
   workers compute misses in parallel processes, which is what buys the
   multi-core speedup the single-process engine cannot reach under the GIL;
+  ownership keeps each node's cached logits in exactly one shard;
 * **fans mutations out** by subscribing to the global session through the
-  ordinary ``MutationListener`` protocol: for every mutation it computes the
-  k-hop dirty region over the old *and* new structure (the same rule the
-  engine's logit-cache invalidation uses), rebuilds the halo of every shard
-  that region touches, and ships each one a :class:`ShardUpdate` with the
-  spliced rows, entering/leaving ghost nodes and entering feature rows.
-  Shards outside the region receive a version-sync tick, so every replica's
-  deterministic sampling key stays equal to the global session's — sharded
-  predictions (exhaustive *and* keyed-sampled) draw byte-identical block
-  structures to the single-process engine's and agree with it to 1e-8
-  (typically to the last bit of BLAS round-off), before and after
-  cross-shard mutations;
-* **rebalances ownership** on ``add_node``: the new node joins the
-  least-loaded shard and the halos of every shard its edges reach are
-  recomputed;
+  ordinary ``MutationListener`` protocol: every shard receives one
+  :class:`ShardUpdate` per mutation with the new rows of the mutation's
+  endpoints (the only rows a mutation changes) and any appended feature
+  rows.  Every replica therefore holds the global structure and version
+  after each mutation, so sharded predictions (exhaustive *and*
+  keyed-sampled) draw byte-identical block structures to the single-process
+  engine's and agree with it to 1e-8, before and after cross-shard
+  mutations;
+* **assigns ownership** on ``add_node``: the new node joins the
+  least-loaded shard;
 * **aggregates** per-shard cache/throughput counters into one
   :class:`ClusterStats`.
 
@@ -37,12 +34,12 @@ front of a cluster exactly as it does in front of one engine.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.partition import GraphPartition, partition_graph
+from repro.cluster.partition import assign_owners
 from repro.cluster.worker import (
     InProcessWorker,
     ProcessWorker,
@@ -55,11 +52,11 @@ from repro.obs.profile import profiling_enabled
 from repro.obs.trace import NULL_SPAN
 from repro.obs.trace import span as obs_span
 from repro.obs.trace import tracing_enabled
-from repro.graphs.khop import khop_frontier
-from repro.serve.engine import DEFAULT_FALLBACK_HOPS, ServeConfig, softmax_rows
+# Unused here; perfbench's tracer wraps ``router.khop_frontier`` by name.
+from repro.graphs.khop import khop_frontier  # noqa: F401
+from repro.serve.engine import ServeConfig, softmax_rows
 from repro.serve.session import GraphSession, MutationEvent
 from repro.sparse.backend import get_backend_name
-from repro.sparse.csr import CSRMatrix
 
 __all__ = ["ClusterStats", "ShardRouter"]
 
@@ -124,65 +121,6 @@ class ClusterStats:
             for name, states in by_name.items()
         }
 
-    def merged_profile(self) -> Optional[dict]:
-        """Cluster-wide kernel-profiler aggregate: per-op tables summed,
-        memory high-water marks maxed across shards (``None`` when no shard
-        profiled anything)."""
-        ops: dict = {}
-        memory: dict = {}
-        seen = False
-        for shard in self.shards:
-            section = shard.profile
-            if not section:
-                continue
-            seen = True
-            for name, row in section.get("ops", {}).items():
-                into = ops.setdefault(
-                    name,
-                    {
-                        "calls": 0,
-                        "cum_s": 0.0,
-                        "self_s": 0.0,
-                        "flops": 0,
-                        "bytes": 0,
-                        "shapes": {},
-                    },
-                )
-                into["calls"] += int(row.get("calls", 0))
-                into["cum_s"] += float(row.get("cum_s", 0.0))
-                into["self_s"] += float(row.get("self_s", 0.0))
-                into["flops"] += int(row.get("flops", 0))
-                into["bytes"] += int(row.get("bytes", 0))
-                for sig, count in dict(row.get("shapes", {})).items():
-                    into["shapes"][sig] = into["shapes"].get(sig, 0) + int(count)
-            for name, nbytes in section.get("memory", {}).items():
-                if int(nbytes) > memory.get(name, -1):
-                    memory[name] = int(nbytes)
-        return {"ops": ops, "memory": memory} if seen else None
-
-
-def _rows_update(
-    new_csr: CSRMatrix, refresh: np.ndarray, clear: np.ndarray
-) -> Tuple[np.ndarray, CSRMatrix]:
-    """``(rows, rows_csr)`` splice payload: fresh rows for ``refresh``, empty
-    rows for ``clear`` (both global id arrays)."""
-    rows = np.union1d(refresh, clear)
-    sliced = new_csr.slice_rows(rows)
-    if clear.size:
-        counts = np.diff(sliced.indptr)
-        keep_rows = ~np.isin(rows, clear, assume_unique=False)
-        entry_keep = np.repeat(keep_rows, counts)
-        new_counts = np.where(keep_rows, counts, 0)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=indptr[1:])
-        sliced = CSRMatrix(
-            indptr,
-            sliced.indices[entry_keep],
-            sliced.data[entry_keep],
-            sliced.shape,
-        )
-    return rows, sliced
-
 
 class ShardRouter:
     """Routes predictions and fans out mutations over shard worker replicas."""
@@ -193,51 +131,29 @@ class ShardRouter:
         session: GraphSession,
         num_shards: int,
         strategy: str = "greedy",
-        halo_hops: Optional[int] = None,
         config: Optional[ServeConfig] = None,
         workers: str = "process",
         model_ref: Optional[Tuple[str, str, Optional[int]]] = None,
-        partition: Optional[GraphPartition] = None,
     ) -> None:
         if workers not in WORKER_MODES:
             raise ValueError(
                 f"workers must be one of {WORKER_MODES}, got {workers!r}"
             )
-        depth = model.message_passing_layers
-        required = depth if depth is not None else DEFAULT_FALLBACK_HOPS
-        if halo_hops is None:
-            halo_hops = required
-        elif halo_hops < required:
-            raise ValueError(
-                f"halo_hops={halo_hops} is smaller than the model's receptive "
-                f"depth ({required}); in-shard prediction would be inexact"
-            )
         self.model = model
         self.session = session
         self.config = config or ServeConfig()
-        self.halo_hops = int(halo_hops)
-        if partition is None:
-            partition = partition_graph(
-                session.csr,
-                session.features,
-                num_shards,
-                strategy=strategy,
-                halo_hops=self.halo_hops,
-            )
-        elif partition.halo_hops < required:
-            raise ValueError("provided partition's halo is too shallow")
-        self.partition = partition
-        self._owners = partition.owners.copy()
-        self._owned = [shard.owned.copy() for shard in partition.shards]
-        self._locals = [shard.local.copy() for shard in partition.shards]
+        self._owners = assign_owners(session.csr, num_shards, strategy)
         self._lock = threading.Lock()
         self._closed = False
 
         backend = get_backend_name()
         inits = []
-        for shard in partition.shards:
+        for shard in range(num_shards):
             init = WorkerInit(
-                partition=shard,
+                shard_id=shard,
+                owned=np.flatnonzero(self._owners == shard),
+                csr=session.csr,
+                features=session.features,
                 config=self.config,
                 backend=backend,
                 base_version=session.version,
@@ -272,12 +188,7 @@ class ShardRouter:
 
     @property
     def owners(self) -> np.ndarray:
-        """Live per-node owner array (grows with ``add_node``).
-
-        ``partition.owners`` is kept equal to this view after every
-        mutation; ``partition.shards`` stay the construction-time payloads —
-        the live shard state lives in the workers.
-        """
+        """Live per-node owner array (grows with ``add_node``)."""
         return self._owners
 
     def owner_of(self, node: int) -> int:
@@ -300,22 +211,16 @@ class ShardRouter:
                 (shard, np.flatnonzero(owners == shard))
                 for shard in np.unique(owners)
             ]
-            # One concurrent round trip: send every shard its slice, then
-            # collect — wall-clock is the slowest shard, not the sum.
             with obs_span("router.fanout") as fanout_span:
                 fanout_span.set(shards=len(involved), nodes=int(nodes.size))
-                rpc_spans = []
+                messages, rpc_spans = [], []
                 for shard, positions in involved:
                     rpc = obs_span("shard.rpc")
                     rpc.set(shard=int(shard), nodes=int(positions.size))
                     ctx = None if rpc is NULL_SPAN else rpc.context()
-                    self.workers[shard].send(
-                        "predict", nodes[positions], ctx=ctx
-                    )
+                    messages.append((shard, "predict", nodes[positions], ctx))
                     rpc_spans.append(rpc)
-                replies = self._collect(
-                    [shard for shard, _ in involved], rpc_spans
-                )
+                replies = self._round_trip(messages, rpc_spans)
             out: Optional[np.ndarray] = None
             for (shard, positions), rows in zip(involved, replies):
                 if out is None:
@@ -323,24 +228,38 @@ class ShardRouter:
                 out[positions] = rows
         return out
 
-    def _collect(self, shards, rpc_spans=None) -> List:
-        """Receive one reply per listed shard, draining every pipe even when
-        a shard errors — a partial drain would leave stale replies queued and
-        desynchronise the command protocol for all later rounds.
+    def _round_trip(self, messages: Sequence[tuple], rpc_spans=None) -> List:
+        """Send every ``(shard, command, payload, ctx)`` message, then
+        receive one reply per shard sent to.
 
-        ``rpc_spans`` (optional, parallel to ``shards``) are finished as each
-        reply lands; replies are received in listed order, so a span's
-        duration can include head-of-line wait behind earlier shards."""
-        replies, failure = [], None
-        for index, shard in enumerate(shards):
+        Sending everything before receiving anything makes the wall-clock the
+        slowest shard, not the sum.  Every shard sent to is drained even when
+        a send or a reply fails (a dead worker's broken pipe, a worker
+        error): a reply left queued would be read as the answer to that
+        shard's next command.  The first failure is re-raised afterwards.
+        ``rpc_spans`` (optional, parallel to ``messages``) are finished as
+        each reply lands; replies are received in listed order, so a span's
+        duration can include head-of-line wait behind earlier shards.
+        """
+        sent, replies, failure = [], [], None
+        for shard, command, payload, ctx in messages:
+            try:
+                self.workers[shard].send(command, payload, ctx=ctx)
+            except Exception as error:  # noqa: BLE001 - re-raised after drain
+                failure = error
+                break
+            sent.append(shard)
+        for index, shard in enumerate(sent):
             try:
                 replies.append(self.workers[shard].recv())
             except Exception as error:  # noqa: BLE001 - re-raised after drain
-                if failure is None:
-                    failure = error
+                failure = failure or error
             finally:
                 if rpc_spans is not None:
                     rpc_spans[index].finish()
+        if rpc_spans is not None:
+            for rpc in rpc_spans[len(sent) :]:
+                rpc.finish()
         if failure is not None:
             raise failure
         return replies
@@ -371,9 +290,9 @@ class ShardRouter:
     def stats(self) -> ClusterStats:
         with self._lock:
             self._check_open()
-            for worker in self.workers:
-                worker.send("stats")
-            snapshots = self._collect(range(self.num_shards))
+            snapshots = self._round_trip(
+                [(shard, "stats", None, None) for shard in range(self.num_shards)]
+            )
             # Pickle bypasses __post_init__: the schema check happens here,
             # once per aggregation, on the router side of the pipe.
             return ClusterStats(
@@ -409,92 +328,31 @@ class ShardRouter:
                 mutation_span.set(
                     version=event.version, shards=self.num_shards
                 )
-                self._fan_out_mutation(event, mutation_span)
+                ctx = (
+                    None if mutation_span is NULL_SPAN else mutation_span.context()
+                )
+                self._fan_out_mutation(event, ctx)
 
-    def _fan_out_mutation(self, event: MutationEvent, mutation_span) -> None:
-        old_csr, new_csr = event.old_csr, event.new_csr
-        endpoints = np.asarray(event.endpoints, dtype=np.int64)
-        grown = new_csr.shape[0] - old_csr.shape[0]
-        new_owner = -1
-        if grown:
+    def _fan_out_mutation(self, event: MutationEvent, ctx) -> None:
+        old_size, new_size = event.old_csr.shape[0], event.new_csr.shape[0]
+        new_owner = None
+        if new_size > old_size:
             # add_node appends exactly one node: give it to the
             # least-loaded shard (deterministic tie-break: lowest id).
-            sizes = np.asarray([owned.size for owned in self._owned])
+            sizes = np.bincount(self._owners, minlength=self.num_shards)
             new_owner = int(np.argmin(sizes))
-            node = new_csr.shape[0] - 1
             self._owners = np.concatenate(
                 [self._owners, np.asarray([new_owner], dtype=np.int64)]
             )
-            self._owned[new_owner] = np.concatenate(
-                [self._owned[new_owner], np.asarray([node], dtype=np.int64)]
-            )
-            # Keep the public partition's ownership view in step (its
-            # per-shard payloads remain construction-time snapshots).
-            self.partition.owners = self._owners
-            self.partition.shards[new_owner].owned = self._owned[new_owner]
-        # The k-hop dirty region over old AND new structure — any shard
-        # whose owned set it misses has no dirty prediction, no changed
-        # local row and no halo change (see the consistency tests).
-        old_eps = endpoints[endpoints < old_csr.shape[0]]
-        region = np.union1d(
-            khop_frontier(old_csr, old_eps, self.halo_hops),
-            khop_frontier(new_csr, endpoints, self.halo_hops),
+        update = ShardUpdate(
+            num_nodes=new_size,
+            version=event.version,
+            endpoints=event.endpoints,
+            rows_csr=event.new_csr.slice_rows(event.endpoints),
+            features=self.session.features[old_size:],
         )
-        features = self.session.features
-        empty = np.empty(0, dtype=np.int64)
-        empty_rows = CSRMatrix(
-            np.zeros(1, dtype=np.int64), empty, np.empty(0), (0, new_csr.shape[0])
-        )
-        updates: List[ShardUpdate] = []
-        with obs_span("router.halo_rebuild") as halo_span:
-            touched_shards = 0
-            for shard in range(self.num_shards):
-                touched = bool(
-                    np.intersect1d(self._owned[shard], region, assume_unique=False).size
-                ) or shard == new_owner
-                if not touched:
-                    # Version-sync tick (plus the id-space growth, if any).
-                    updates.append(
-                        ShardUpdate(
-                            num_nodes=new_csr.shape[0],
-                            version=event.version,
-                            endpoints=empty,
-                            rows=empty,
-                            rows_csr=empty_rows,
-                            entering=empty,
-                            entering_features=np.empty((0, features.shape[1])),
-                            leaving=empty,
-                        )
-                    )
-                    continue
-                touched_shards += 1
-                new_local = khop_frontier(new_csr, self._owned[shard], self.halo_hops)
-                entering = np.setdiff1d(new_local, self._locals[shard], assume_unique=True)
-                leaving = np.setdiff1d(self._locals[shard], new_local, assume_unique=True)
-                refresh = np.union1d(
-                    np.intersect1d(endpoints, new_local), entering
-                )
-                rows, rows_csr = _rows_update(new_csr, refresh, leaving)
-                self._locals[shard] = new_local
-                updates.append(
-                    ShardUpdate(
-                        num_nodes=new_csr.shape[0],
-                        version=event.version,
-                        endpoints=endpoints,
-                        rows=rows,
-                        rows_csr=rows_csr,
-                        entering=entering,
-                        entering_features=features[entering],
-                        leaving=leaving,
-                        own_node=(
-                            new_csr.shape[0] - 1 if shard == new_owner else None
-                        ),
-                    )
-                )
-            halo_span.set(touched=touched_shards, region=int(region.size))
-        ctx = (
-            None if mutation_span is NULL_SPAN else mutation_span.context()
-        )
-        for worker, update in zip(self.workers, updates):
-            worker.send("mutate", update, ctx=ctx)
-        self._collect(range(self.num_shards))
+        messages = []
+        for shard in range(self.num_shards):
+            own_node = new_size - 1 if shard == new_owner else None
+            messages.append((shard, "mutate", replace(update, own_node=own_node), ctx))
+        self._round_trip(messages)

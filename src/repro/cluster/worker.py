@@ -1,12 +1,11 @@
-"""Shard worker: one engine replica over one partition, driven by commands.
+"""Shard worker: one full engine replica, driven by commands.
 
 A :class:`ShardWorker` hosts its own :class:`~repro.serve.session.GraphSession`
-and :class:`~repro.serve.engine.InferenceEngine` over a shard's row-subset
-structure (:mod:`repro.cluster.partition`), answering predictions for the
-nodes the shard owns.  Because the shard view keeps global node ids and full
-rows for every local node, the engine's ego blocks, keyed sampling, logit
-cache and k-hop dirty sets behave *identically* to a single-process engine
-over the whole graph — the worker is a true replica, not an approximation.
+and :class:`~repro.serve.engine.InferenceEngine` over the whole graph and
+answers predictions for the nodes its shard owns.  The replica holds the
+same structure and features as the router's global session, so the engine's
+ego blocks, keyed sampling, logit cache and k-hop dirty sets behave
+*identically* to a single-process engine's.
 
 The worker runs in-process (tests, debugging) or as a child process behind a
 command pipe (:class:`ProcessWorker`): the router sends ``(command, payload)``
@@ -17,9 +16,8 @@ model parameters from the shared on-disk
 model, so every replica serves exactly the committed registry version.
 
 Mutations arrive as :class:`ShardUpdate` payloads assembled by the router:
-the global mutation endpoints (dirty-set seeds), the freshly spliced rows
-(changed endpoints, entering halo nodes, cleared leaving nodes) and the
-feature rows of entering nodes.  The worker splices them in with
+the mutation endpoints, their rows of the new structure and the feature rows
+of appended nodes.  The worker splices the rows in with
 :func:`repro.sparse.ops.splice_rows_csr` and commits through
 :meth:`GraphSession.replace_structure`, which drives the normal
 ``MutationListener`` invalidation path — cross-shard staleness is therefore
@@ -39,7 +37,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.partition import ShardPartition
 from repro.obs.metrics import active_metrics, next_instance
 from repro.obs.profile import active_profiler, set_profiling
 from repro.obs.trace import adopt, get_tracer, set_tracing
@@ -65,7 +62,7 @@ class ClusterWorkerError(RuntimeError):
     """A shard worker rejected a command (re-raised router-side)."""
 
 
-SHARD_STATS_SCHEMA_VERSION = 3
+SHARD_STATS_SCHEMA_VERSION = 4
 """Bump on every field change of :class:`ShardStatsSnapshot`.  The router
 validates the version of every snapshot it aggregates, so a worker running
 an older schema (stale child re-used across a deploy, renamed counter) fails
@@ -74,7 +71,8 @@ loudly instead of silently contributing zeros to cluster totals.
 v2 added the optional ``histograms`` (per-shard latency distributions as
 ``Histogram.state()`` dicts, merged router-side into cluster-wide p50/p99)
 and ``profile`` (kernel-profiler aggregate table) sections; v3 dropped the two
-segment-packing counters."""
+segment-packing counters; v4 dropped the ghost-row count, since every shard
+became a full replica."""
 
 _OPTIONAL_SECTIONS = ("histograms", "profile")
 """Snapshot fields that are dicts-or-``None`` instead of int counters."""
@@ -94,7 +92,6 @@ class ShardStatsSnapshot:
     schema: int
     shard_id: int
     owned: int
-    halo: int
     requests: int
     version: int
     hits: int
@@ -149,26 +146,21 @@ class ShardStatsSnapshot:
 
 @dataclass
 class ShardUpdate:
-    """One mutation's payload for one shard (all node ids global).
+    """One mutation's payload for one shard.
 
-    ``rows``/``rows_csr`` carry the spliced row contents (sorted, unique;
-    entering/changed rows full, leaving rows empty); ``endpoints`` seed the
-    worker engine's dirty-set expansion; ``entering``/``leaving`` adjust the
-    local (owned ∪ halo) set; ``own_node`` transfers ownership of a freshly
-    appended node to this shard.  A trivial update (everything empty, possibly
-    with a grown ``num_nodes``) is the version-sync *tick* sent to shards a
-    mutation does not touch, keeping every shard's deterministic sampling key
-    equal to the global session's.
+    ``endpoints`` (sorted, unique) are the only rows a mutation changes;
+    ``rows_csr`` holds their content in the new structure, one row per
+    endpoint.  ``features`` are the feature rows of nodes appended past the
+    replica's current size, and ``own_node`` transfers ownership of a freshly
+    appended node to this shard.  Every shard receives every update, so each
+    replica's deterministic sampling key stays equal to the global session's.
     """
 
     num_nodes: int
     version: int
     endpoints: np.ndarray
-    rows: np.ndarray
     rows_csr: CSRMatrix
-    entering: np.ndarray
-    entering_features: np.ndarray
-    leaving: np.ndarray
+    features: np.ndarray
     own_node: Optional[int] = None
 
 
@@ -176,13 +168,18 @@ class ShardUpdate:
 class WorkerInit:
     """Everything a worker (process) needs to build its replica.
 
-    Exactly one of ``model`` (in-process / pre-built instance) or
-    ``registry_root``+``model_name`` (load from the shared registry) must be
-    provided.  ``backend`` pins the compute-backend contextvar inside the
-    child process, which does not inherit the parent's context.
+    ``owned`` are the nodes this shard answers for; ``csr`` and ``features``
+    are the whole graph.  Exactly one of ``model`` (in-process / pre-built
+    instance) or ``registry_root``+``model_name`` (load from the shared
+    registry) must be provided.  ``backend`` pins the compute-backend
+    contextvar inside the child process, which does not inherit the parent's
+    context.
     """
 
-    partition: ShardPartition
+    shard_id: int
+    owned: np.ndarray
+    csr: CSRMatrix
+    features: np.ndarray
     config: ServeConfig = field(default_factory=ServeConfig)
     backend: Optional[str] = None
     model: Optional[object] = None
@@ -190,7 +187,7 @@ class WorkerInit:
     model_name: Optional[str] = None
     model_version: Optional[int] = None
     base_version: int = 0
-    """The primary session's mutation counter at partition time: replica
+    """The primary session's mutation counter at router construction: replica
     sessions start from it so sampling keys (and the router's drift check)
     stay aligned even when the global session had pre-router history."""
     telemetry: bool = False
@@ -219,20 +216,15 @@ def _load_model(init: WorkerInit):
 
 
 class ShardWorker:
-    """The in-process core: session + engine replica over one partition."""
+    """The in-process core: session + engine replica of the whole graph."""
 
     def __init__(self, init: WorkerInit) -> None:
-        partition = init.partition
-        self.shard_id = partition.shard_id
-        self.halo_hops = partition.halo_hops
-        self._owned_mask = np.zeros(partition.num_nodes, dtype=bool)
-        self._owned_mask[partition.owned] = True
-        self._local = partition.local
+        self.shard_id = init.shard_id
+        self._owned_mask = np.zeros(init.csr.shape[0], dtype=bool)
+        self._owned_mask[init.owned] = True
         self.model = _load_model(init)
         self.session = GraphSession(
-            partition.csr,
-            partition.padded_features(),
-            initial_version=init.base_version,
+            init.csr, init.features, initial_version=init.base_version
         )
         self.engine = InferenceEngine(self.model, self.session, init.config)
         instance = next_instance()
@@ -274,26 +266,19 @@ class ShardWorker:
         grown = update.num_nodes - csr.shape[0]
         if grown < 0:
             raise ClusterWorkerError("shard structure cannot shrink")
-        features = session.features
+        features = None
         if grown:
             for _ in range(grown):
                 csr = append_empty_node_csr(csr)
-            features = np.vstack(
-                [features, np.zeros((grown, features.shape[1]))]
-            )
+            features = np.vstack([session.features, update.features])
             self._owned_mask = np.concatenate(
                 [self._owned_mask, np.zeros(grown, dtype=bool)]
             )
         if update.own_node is not None:
             self._owned_mask[update.own_node] = True
-        entering = np.asarray(update.entering, dtype=np.int64)
-        if entering.size:
-            features[entering] = update.entering_features
-        new_csr = splice_rows_csr(csr, update.rows, update.rows_csr)
         session.replace_structure(
-            new_csr,
+            splice_rows_csr(csr, update.endpoints, update.rows_csr),
             endpoints=update.endpoints,
-            touched_rows=update.rows,
             features=features,
         )
         if session.version != update.version:
@@ -301,10 +286,6 @@ class ShardWorker:
                 f"shard {self.shard_id} version drifted: "
                 f"{session.version} != {update.version}"
             )
-        self._local = np.setdiff1d(
-            np.union1d(self._local, entering),
-            np.asarray(update.leaving, dtype=np.int64),
-        )
         return session.version
 
     def stats(self) -> ShardStatsSnapshot:
@@ -316,7 +297,6 @@ class ShardWorker:
         high-water marks, so the router can assemble cluster-wide views.
         """
         cache = self.engine.cache_stats
-        owned = int(np.count_nonzero(self._owned_mask))
         profiler = active_profiler()
         profile_section = None
         if profiler is not None:
@@ -329,8 +309,7 @@ class ShardWorker:
         return ShardStatsSnapshot(
             schema=SHARD_STATS_SCHEMA_VERSION,
             shard_id=self.shard_id,
-            owned=owned,
-            halo=int(self._local.size) - owned,
+            owned=int(np.count_nonzero(self._owned_mask)),
             requests=self._requests.value,
             version=self.session.version,
             hits=0 if cache is None else cache.hits,

@@ -289,11 +289,11 @@ class NeighborSampler:
         """Retarget the sampler *in place* after a structure mutation.
 
         ``event`` is a :class:`~repro.serve.session.MutationEvent` (or any
-        object with ``new_csr`` and ``touched_rows``): the sampler swaps in
+        object with ``new_csr`` and ``endpoints``): the sampler swaps in
         the new CSR and *splices* the cached degree vector — only the rows
         whose content changed are re-summed, instead of the historical O(m)
         full rebuild per mutation.  Appended nodes (``add_node``) enter with
-        the empty-row degree ``d̃ = 1`` before their ``touched_rows`` splice.
+        the empty-row degree ``d̃ = 1`` before their ``endpoints`` splice.
         Not safe under concurrent readers — use :meth:`with_mutation` when
         other threads may be sampling.
         """
@@ -307,7 +307,7 @@ class NeighborSampler:
             self.degrees_with_self = np.concatenate(
                 [self.degrees_with_self, np.ones(grown)]
             )
-        touched = np.asarray(event.touched_rows, dtype=np.int64).reshape(-1)
+        touched = np.asarray(event.endpoints, dtype=np.int64).reshape(-1)
         touched = np.unique(touched[touched < new_csr.shape[0]])
         if touched.size:
             self.degrees_with_self[touched] = (

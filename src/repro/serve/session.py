@@ -41,23 +41,12 @@ __all__ = ["MutationEvent", "GraphSession"]
 class MutationEvent:
     """One structure mutation, as broadcast to session listeners.
 
-    ``endpoints`` are the *semantic* touched nodes (the edge endpoints of the
-    mutation) — what dirty-set invalidation expands from.  ``touched_rows``
-    are the CSR rows whose stored content actually changed; for plain
-    edge mutations the two coincide, but a cluster shard's halo sync also
-    refreshes entering/leaving ghost rows whose global structure did *not*
-    change — those belong in ``touched_rows`` (degree splices) but not in
-    ``endpoints`` (no invalidation needed).
+    ``endpoints`` are the edge endpoints of the mutation (sorted, unique):
+    the only CSR rows whose stored content can change, and the seeds that
+    dirty-set invalidation expands from.
     """
 
-    __slots__ = (
-        "old_csr",
-        "new_csr",
-        "endpoints",
-        "revision",
-        "version",
-        "touched_rows",
-    )
+    __slots__ = ("old_csr", "new_csr", "endpoints", "revision", "version")
 
     def __init__(
         self,
@@ -66,14 +55,12 @@ class MutationEvent:
         endpoints: np.ndarray,
         revision: int,
         version: int,
-        touched_rows: Optional[np.ndarray] = None,
     ) -> None:
         self.old_csr = old_csr
         self.new_csr = new_csr
         self.endpoints = endpoints
         self.revision = revision
         self.version = version
-        self.touched_rows = endpoints if touched_rows is None else touched_rows
 
 
 MutationListener = Callable[[MutationEvent], None]
@@ -251,21 +238,18 @@ class GraphSession:
         self,
         new_csr: CSRMatrix,
         endpoints: np.ndarray,
-        touched_rows: Optional[np.ndarray] = None,
         features: Optional[np.ndarray] = None,
     ) -> int:
         """Commit an externally assembled structure; returns the new revision.
 
-        The cluster shard worker's commit path: the router ships freshly
-        spliced rows (changed endpoints, entering/leaving halo nodes) and the
-        worker installs the resulting CSR here — one revision + version bump
-        and one listener broadcast, exactly like a local mutation.
-        ``endpoints`` are the semantic mutation endpoints (dirty-set seeds);
-        ``touched_rows`` the rows whose stored content changed (defaults to
-        ``endpoints``); ``features`` optionally replaces the feature matrix
-        (grown node set, freshly filled ghost rows).  Not available on
-        sessions attached to a dense :class:`Graph` — the external structure
-        has no dense counterpart to keep coherent.
+        The cluster shard worker's commit path: the router ships the new rows
+        of a mutation's endpoints and the worker installs the spliced CSR
+        here — one revision + version bump and one listener broadcast,
+        exactly like a local mutation.  ``endpoints`` are the mutation
+        endpoints (the changed rows and dirty-set seeds); ``features``
+        optionally replaces the feature matrix (grown node set).  Not
+        available on sessions attached to a dense :class:`Graph` — the
+        external structure has no dense counterpart to keep coherent.
         """
         if self._graph is not None:
             raise ValueError(
@@ -290,18 +274,12 @@ class GraphSession:
         tag_adjacency(new_csr, revision=self._revision, owned=True)
         self._version += 1
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1)
-        touched = (
-            endpoints
-            if touched_rows is None
-            else np.asarray(touched_rows, dtype=np.int64).reshape(-1)
-        )
         event = MutationEvent(
             old_csr=old_csr,
             new_csr=new_csr,
             endpoints=endpoints,
             revision=self._revision,
             version=self._version,
-            touched_rows=touched,
         )
         for listener in self._listeners:
             listener(event)

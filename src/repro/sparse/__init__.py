@@ -24,7 +24,6 @@ from repro.sparse.ops import (
     mean_aggregation_csr,
     laplacian_csr,
     normalized_laplacian_csr,
-    row_subset_csr,
     shortest_path_hops_csr,
     splice_rows_csr,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "gather_neighbor_positions",
     "gather_neighbors",
     "induced_subgraph_csr",
-    "row_subset_csr",
     "splice_rows_csr",
     "apply_edge_updates_csr",
     "append_empty_node_csr",

@@ -31,7 +31,6 @@ __all__ = [
     "gather_neighbor_positions",
     "gather_neighbors",
     "induced_subgraph_csr",
-    "row_subset_csr",
     "splice_rows_csr",
     "apply_edge_updates_csr",
     "append_empty_node_csr",
@@ -282,29 +281,6 @@ def _check_row_subset(shape_rows: int, rows: np.ndarray, name: str) -> np.ndarra
     return rows
 
 
-def row_subset_csr(adjacency: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
-    """Keep only ``rows``' segments of ``adjacency``; every other row empty.
-
-    The halo-extraction kernel of the cluster partitioner: a shard's view of
-    the graph is the *row subset* of the global structure over its owned and
-    halo nodes — same shape, same global column ids, full adjacency lists for
-    the kept rows — so ego-block extraction, keyed sampling and k-hop dirty
-    sets over the shard view are byte-identical to the global ones wherever
-    the shard has complete knowledge.  ``rows`` must be sorted and unique.
-    Cost: O(Σ deg(rows)) array traffic plus the O(N) index column.
-    """
-    n = adjacency.shape[0]
-    rows = _check_row_subset(n, rows, "rows")
-    counts = np.zeros(n, dtype=np.int64)
-    counts[rows] = np.diff(adjacency.indptr)[rows]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    src = gather_row_positions(adjacency.indptr, rows)
-    return CSRMatrix(
-        indptr, adjacency.indices[src], adjacency.data[src], adjacency.shape
-    )
-
-
 def splice_rows_csr(
     adjacency: CSRMatrix, rows: np.ndarray, rows_csr: CSRMatrix
 ) -> CSRMatrix:
@@ -314,9 +290,9 @@ def splice_rows_csr(
     listed row (an empty row clears it); every unlisted row's segment is
     copied wholesale, exactly like the splice phase of
     :func:`apply_edge_updates_csr`.  ``rows`` must be sorted and unique.
-    This is the shard-worker commit kernel: the router ships freshly
-    assembled rows (changed endpoints, entering halo nodes, cleared leaving
-    nodes) and the worker splices them in O(nnz + Σ deg(rows)).
+    This is the shard-worker commit kernel: the router ships the new rows
+    of a mutation's endpoints and the worker splices them in
+    O(nnz + Σ deg(rows)).
     """
     n = adjacency.shape[0]
     rows = _check_row_subset(n, rows, "rows")

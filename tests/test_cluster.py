@@ -2,20 +2,23 @@
 
 Acceptance properties:
 
-* **partitioner** — both strategies produce a complete, bounded-balance
-  ownership; every shard's row-subset structure carries the exact global
-  rows of its owned ∪ halo nodes and nothing else;
+* **ownership** — both strategies produce a complete, bounded-balance
+  ownership;
+* **full replicas** — after any mix of mutations every worker's structure
+  and features equal the global session's byte for byte;
 * **exhaustive equivalence** — router predictions equal the single-process
   engine (and therefore the offline full-graph forward) to 1e-8 on the dense
   and sparse backends, for GCN and GraphSAGE, through in-process and
   child-process workers alike;
 * **cross-shard consistency** — after ``add_edges`` / ``remove_edges`` /
   ``add_node`` spanning shard boundaries, router answers equal a *fresh*
-  single-process engine over the mutated structure (no stale logits from
-  halo-invalidation gaps), under serial and background-drain batching;
+  single-process engine over the mutated structure (no stale logits),
+  under serial and background-drain batching;
 * **determinism** — keyed-sampled cluster serving matches a single-process
-  engine with the same seed because version-sync ticks keep every shard's
-  sampling key equal to the global session's.
+  engine with the same seed because every shard applies every mutation,
+  which keeps its sampling key equal to the global session's;
+* **dead workers** — a request that reaches a dead worker raises, and never
+  leaves a reply queued for a later request.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.cluster import (
     ShardWorker,
     WorkerInit,
     assign_owners,
-    partition_graph,
 )
 from repro.datasets.synthetic import generate_scaling_graph
 from repro.gnn.models import build_model
@@ -102,7 +104,7 @@ def _fresh_reference(model, session, config=None):
 
 
 # --------------------------------------------------------------------- #
-# Partitioner
+# Ownership
 # --------------------------------------------------------------------- #
 class TestPartitioner:
     @pytest.mark.parametrize("strategy", ["hash", "greedy"])
@@ -128,85 +130,85 @@ class TestPartitioner:
 
         assert cut(assign_owners(csr, 4, "greedy")) < cut(assign_owners(csr, 4, "hash"))
 
-    def test_shard_structure_is_exact_row_subset(self, small_graph):
+    def test_shard_structure_is_exact_row_subset(self, small_graph, gcn_model):
+        """A full replica's row subset is every row: the owned sets partition
+        the nodes, and each worker's structure and features are the global
+        ones, with no row masked out."""
         csr, features = small_graph
-        partition = partition_graph(csr, features, 3, strategy="greedy", halo_hops=2)
+        session = GraphSession(csr, features)
         dense = csr.to_dense()
-        assert np.array_equal(np.sort(np.concatenate([s.owned for s in partition.shards])),
-                              np.arange(NUM_NODES))
-        for shard in partition.shards:
-            expected_local = khop_frontier(csr, shard.owned, 2)
-            assert np.array_equal(shard.local, expected_local)
-            assert np.array_equal(
-                shard.halo, np.setdiff1d(expected_local, shard.owned)
-            )
-            shard_dense = shard.csr.to_dense()
-            mask = np.zeros(NUM_NODES, dtype=bool)
-            mask[shard.local] = True
-            assert np.array_equal(shard_dense[mask], dense[mask])
-            assert not shard_dense[~mask].any()
-            np.testing.assert_array_equal(shard.features, features[shard.local])
-            padded = shard.padded_features()
-            np.testing.assert_array_equal(padded[shard.local], features[shard.local])
-            assert not padded[~mask].any()
+        with ShardRouter(
+            gcn_model, session, 3, strategy="greedy", workers="inproc"
+        ) as router:
+            owned = [
+                np.flatnonzero(worker._worker._owned_mask) for worker in router.workers
+            ]
+            assert np.array_equal(np.sort(np.concatenate(owned)), np.arange(NUM_NODES))
+            for shard, worker in enumerate(router.workers):
+                assert np.array_equal(owned[shard], np.flatnonzero(router.owners == shard))
+                replica = worker._worker.session
+                assert replica.csr.shape == csr.shape
+                assert np.array_equal(replica.csr.to_dense(), dense)
+                np.testing.assert_array_equal(replica.features, features)
 
-    def test_stats_report(self, small_graph):
+    def test_stats_report(self, small_graph, gcn_model):
         csr, features = small_graph
-        partition = partition_graph(csr, features, 4, strategy="greedy", halo_hops=1)
-        stats = partition.stats(csr)
-        assert stats["num_shards"] == 4
-        assert 0.0 <= stats["edge_cut"] <= 1.0
-        assert stats["replication"] >= 1.0
-        assert stats["balance"] >= 1.0
+        session = GraphSession(csr, features)
+        with ShardRouter(
+            gcn_model, session, 4, strategy="greedy", workers="inproc"
+        ) as router:
+            query = np.arange(0, NUM_NODES, 3)
+            router.predict_logits(query)
+            stats = router.stats()
+            assert [s["shard_id"] for s in stats.shards] == [0, 1, 2, 3]
+            sizes = np.bincount(router.owners, minlength=4)
+            assert [s["owned"] for s in stats.shards] == sizes.tolist()
+            assert sizes.sum() == NUM_NODES
+            expected = np.bincount(router.owners[query], minlength=4)
+            assert [s["requests"] for s in stats.shards] == expected.tolist()
+            assert stats.requests == query.size
+            assert [s["version"] for s in stats.shards] == [session.version] * 4
 
     def test_validation_errors(self, small_graph):
-        csr, features = small_graph
+        csr, _ = small_graph
         with pytest.raises(ValueError, match="strategy"):
             assign_owners(csr, 2, strategy="metis")
         with pytest.raises(ValueError, match="num_shards"):
             assign_owners(csr, 0)
         with pytest.raises(ValueError, match="shards"):
             assign_owners(csr, NUM_NODES + 1)
-        with pytest.raises(ValueError, match="halo_hops"):
-            partition_graph(csr, features, 2, halo_hops=-1)
-        with pytest.raises(ValueError, match="owner ids"):
-            partition_graph(
-                csr, features, 2, owners=np.full(NUM_NODES, 7, dtype=np.int64)
-            )
-
-    def test_explicit_owners_override(self, small_graph):
-        csr, features = small_graph
-        owners = np.arange(NUM_NODES, dtype=np.int64) % 2
-        partition = partition_graph(csr, features, 2, owners=owners)
-        assert partition.strategy == "explicit"
-        assert np.array_equal(partition.shards[0].owned, np.arange(0, NUM_NODES, 2))
 
 
 # --------------------------------------------------------------------- #
 # Shard worker
 # --------------------------------------------------------------------- #
+def _shard_zero(csr, features, model):
+    """A worker for shard 0 of a 2-shard greedy ownership, and that ownership."""
+    owners = assign_owners(csr, 2)
+    init = WorkerInit(
+        shard_id=0,
+        owned=np.flatnonzero(owners == 0),
+        csr=csr,
+        features=features,
+        model=model,
+    )
+    return ShardWorker(init), owners
+
+
 class TestShardWorker:
     def test_rejects_unowned_nodes(self, small_graph, gcn_model):
-        csr, features = small_graph
-        partition = partition_graph(csr, features, 2, halo_hops=2)
-        worker = ShardWorker(
-            WorkerInit(partition=partition.shards[0], model=gcn_model)
-        )
-        stray = int(partition.shards[1].owned[0])
+        worker, owners = _shard_zero(*small_graph, gcn_model)
+        stray = int(np.flatnonzero(owners == 1)[0])
         with pytest.raises(ClusterWorkerError, match="does not own"):
             worker.predict_logits(np.asarray([stray]))
 
     def test_stats_shape(self, small_graph, gcn_model):
-        csr, features = small_graph
-        partition = partition_graph(csr, features, 2, halo_hops=2)
-        worker = ShardWorker(
-            WorkerInit(partition=partition.shards[0], model=gcn_model)
-        )
-        worker.predict_logits(partition.shards[0].owned[:5])
+        worker, owners = _shard_zero(*small_graph, gcn_model)
+        owned = np.flatnonzero(owners == 0)
+        worker.predict_logits(owned[:5])
         stats = worker.stats()
         assert stats["requests"] == 5
-        assert stats["owned"] == partition.shards[0].owned.size
-        assert stats["halo"] == partition.shards[0].halo.size
+        assert stats["owned"] == owned.size
         assert stats["version"] == 0
 
 
@@ -299,12 +301,6 @@ class TestRouterEquivalence:
             with pytest.raises(ValueError, match="non-empty"):
                 router.predict_logits(np.empty(0, dtype=np.int64))
 
-    def test_shallow_halo_rejected(self, small_graph, gcn_model):
-        csr, features = small_graph
-        session = GraphSession(csr, features)
-        with pytest.raises(ValueError, match="halo"):
-            ShardRouter(gcn_model, session, 2, halo_hops=1, workers="inproc")
-
 
 # --------------------------------------------------------------------- #
 # Cross-shard consistency under mutation
@@ -340,19 +336,21 @@ class TestCrossShardConsistency:
         session = GraphSession(csr, features)
         with ShardRouter(gcn_model, session, 3, workers="inproc") as router:
             owners = router.owners
-            # neighbours on two different shards: the new node's halo spans both
+            # neighbours on two different shards
             first = 0
             second = int(np.flatnonzero(owners != owners[first])[0])
             warm = np.arange(0, NUM_NODES, 4)
             router.predict_logits(warm)
+            owned_before = [s["owned"] for s in router.stats().shards]
             node = session.add_node(
                 np.ones(NUM_FEATURES), neighbors=np.asarray([first, second])
             )
             assert router.owner_of(node) >= 0
-            # the public ownership views grow with the session
+            # the ownership views grow with the session
             assert router.owners.size == session.num_nodes
-            assert router.partition.owners.size == session.num_nodes
-            assert node in router.partition.shards[router.owner_of(node)].owned
+            owned_after = [s["owned"] for s in router.stats().shards]
+            owned_before[router.owner_of(node)] += 1
+            assert owned_after == owned_before
             query = np.concatenate([[node, first, second], warm[:20]])
             np.testing.assert_allclose(
                 router.predict_logits(query),
@@ -417,6 +415,44 @@ class TestCrossShardConsistency:
             session.add_node(np.zeros(NUM_FEATURES), neighbors=[5])
             versions = [s["version"] for s in router.stats().shards]
             assert versions == [session.version] * 3
+
+    def test_replicas_equal_global_session(self, small_graph, gcn_model):
+        """Every worker is a full replica: after edge additions across
+        owners, removals and node additions with and without neighbours, its
+        structure and features equal the global session's byte for byte."""
+        csr, features = small_graph
+        session = GraphSession(csr, features)
+        with ShardRouter(gcn_model, session, 3, workers="inproc") as router:
+            replicas = [worker._worker for worker in router.workers]
+            updates = []
+            apply = replicas[0].apply
+
+            def recording_apply(update):
+                updates.append(update)
+                return apply(update)
+
+            replicas[0].apply = recording_apply
+
+            pairs = _cross_shard_absent_pairs(csr, router.owners, 4, seed=13)
+            session.add_edges(pairs[:1])
+            # One edge changes exactly its two endpoint rows.
+            assert np.array_equal(updates[-1].endpoints, np.sort(pairs[0]))
+            assert updates[-1].rows_csr.shape == (2, NUM_NODES)
+            session.add_edges(pairs[1:])
+            row = int(np.flatnonzero(np.diff(csr.indptr))[0])
+            existing = np.asarray([[row, csr.indices[csr.indptr[row]]]])
+            session.remove_edges(np.concatenate([pairs[:2], existing]))
+            session.add_node(np.full(NUM_FEATURES, 0.5), neighbors=pairs[2])
+            session.add_node(np.ones(NUM_FEATURES))
+            for replica in replicas:
+                for name in ("indptr", "indices", "data"):
+                    got = getattr(replica.session.csr, name)
+                    want = getattr(session.csr, name)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                assert replica.session.features.shape == session.features.shape
+                assert replica.session.features.tobytes() == session.features.tobytes()
+                assert replica.session.version == session.version
 
     @pytest.mark.parametrize("drain", ["serial", "background"])
     def test_consistency_under_batching(self, small_graph, gcn_model, drain):
@@ -530,6 +566,32 @@ class TestProcessWorkers:
         assert not child.is_alive()
         assert counts and set(counts) == {1}
 
+    def test_dead_worker_never_returns_another_requests_rows(
+        self, small_graph, gcn_model
+    ):
+        """A request that reaches a dead worker raises; the live shard's
+        reply to it must not be read as the answer to the next request."""
+        csr, features = small_graph
+        session = GraphSession(csr, features)
+        with ShardRouter(gcn_model, session, 2, workers="process") as router:
+            shard0 = np.flatnonzero(router.owners == 0)
+            shard1 = np.flatnonzero(router.owners == 1)
+            dead = router.workers[1].process
+            dead.kill()
+            dead.join(timeout=30)
+            with pytest.raises((OSError, EOFError, ClusterWorkerError)):
+                router.predict_logits(np.concatenate([shard0[:10], shard1[:10]]))
+            later = shard0[10:20]
+            try:
+                rows = router.predict_logits(later)
+            except (OSError, EOFError, ClusterWorkerError):
+                return
+            np.testing.assert_allclose(
+                rows,
+                _fresh_reference(gcn_model, session).predict_logits(later),
+                atol=1e-8,
+            )
+
     def test_bad_registry_reference_fails_fast(self, tmp_path, small_graph, gcn_model):
         csr, features = small_graph
         session = GraphSession(csr, features)
@@ -575,12 +637,8 @@ class TestClusterPlans:
             )
 
     def test_worker_stats_carry_plan_counters(self, small_graph, gcn_model):
-        csr, features = small_graph
-        partition = partition_graph(csr, features, 2, halo_hops=2)
-        worker = ShardWorker(
-            WorkerInit(partition=partition.shards[0], model=gcn_model)
-        )
-        worker.predict_logits(partition.shards[0].owned[:6])
+        worker, owners = _shard_zero(*small_graph, gcn_model)
+        worker.predict_logits(np.flatnonzero(owners == 0)[:6])
         stats = worker.stats()
         for key in (
             "plans_recorded",

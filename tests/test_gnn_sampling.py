@@ -739,7 +739,7 @@ class TestIncrementalDegrees:
 
         class Event:
             new_csr = CSRMatrix.from_dense(np.zeros((3, 3)))
-            touched_rows = np.empty(0, dtype=np.int64)
+            endpoints = np.empty(0, dtype=np.int64)
 
         with pytest.raises(ValueError, match="grow"):
             sampler.apply_mutation(Event())

@@ -355,7 +355,7 @@ class TestIncrementalEdgeUpdates:
 
 
 class TestRowSubsetAndSplice:
-    """row_subset_csr / splice_rows_csr (cluster partition + halo sync kernels)."""
+    """slice_rows / splice_rows_csr (the mutation fan-out and shard-worker commit kernels)."""
 
     def _random_adjacency(self, seed=0, n=40, density=0.12):
         rng = np.random.default_rng(seed)
@@ -364,12 +364,16 @@ class TestRowSubsetAndSplice:
         return dense + dense.T
 
     def test_row_subset_matches_dense_mask(self):
-        from repro.sparse.ops import row_subset_csr
+        """The rows a mutation ships (``slice_rows``) spliced into an empty
+        structure reproduce exactly those rows of the source."""
+        from repro.sparse.ops import splice_rows_csr
 
         dense = self._random_adjacency()
         csr = CSRMatrix.from_dense(dense)
         rows = np.array([0, 3, 7, 21, 39], dtype=np.int64)
-        subset = row_subset_csr(csr, rows)
+        shipped = csr.slice_rows(rows)
+        empty = CSRMatrix.from_dense(np.zeros_like(dense))
+        subset = splice_rows_csr(empty, rows, shipped)
         expected = np.zeros_like(dense)
         expected[rows] = dense[rows]
         assert subset.shape == csr.shape
@@ -383,15 +387,19 @@ class TestRowSubsetAndSplice:
             )
 
     def test_row_subset_validation(self):
-        from repro.sparse.ops import row_subset_csr
+        from repro.sparse.ops import splice_rows_csr
 
         csr = CSRMatrix.from_dense(self._random_adjacency())
+        two = CSRMatrix.from_dense(np.zeros((2, csr.shape[1])))
+        one = CSRMatrix.from_dense(np.zeros((1, csr.shape[1])))
         with pytest.raises(ValueError, match="sorted"):
-            row_subset_csr(csr, np.array([5, 3]))
+            splice_rows_csr(csr, np.array([5, 3]), two)
         with pytest.raises(ValueError, match="sorted"):
-            row_subset_csr(csr, np.array([3, 3]))
+            splice_rows_csr(csr, np.array([3, 3]), two)
         with pytest.raises(ValueError, match="out of bounds"):
-            row_subset_csr(csr, np.array([100]))
+            splice_rows_csr(csr, np.array([100]), one)
+        with pytest.raises(ValueError, match="out of bounds"):
+            csr.slice_rows(np.array([100]))
 
     def test_splice_replaces_and_clears_rows(self):
         from repro.sparse.ops import splice_rows_csr
@@ -403,7 +411,7 @@ class TestRowSubsetAndSplice:
         replacement = np.zeros((rows.size, dense.shape[1]))
         replacement[0] = other[2]
         replacement[1] = other[11]
-        # row 30 stays all-zero: a cleared (leaving-halo) row
+        # row 30 stays all-zero: a cleared row
         spliced = splice_rows_csr(csr, rows, CSRMatrix.from_dense(replacement))
         expected = dense.copy()
         expected[2] = other[2]
