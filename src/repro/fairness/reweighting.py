@@ -27,7 +27,6 @@ class FairnessReweightingConfig:
 
     alpha: float = 0.9
     beta: float = 0.1
-    backend: str = "slsqp"
     influence: InfluenceConfig = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -92,7 +91,7 @@ def compute_fairness_weights(
         alpha=config.alpha,
         beta=config.beta,
     )
-    solution = solve_qclp(problem, backend=config.backend)
+    solution = solve_qclp(problem)
     raw = solution.weights
     multipliers = np.clip(1.0 + raw, 0.0, 2.0)
     return FairnessWeights(

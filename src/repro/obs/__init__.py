@@ -15,8 +15,6 @@ cache behaviour) become *operational* here:
   tree, with queue-wait, IPC and compute time separated.  Disabled by
   default and near-free when off (``REPRO_TELEMETRY=1`` or
   :func:`set_tracing` turns it on);
-* :mod:`repro.obs.timer` — the unified re-entrant Timer (context manager +
-  decorator), superseding ``repro.utils.timing``;
 * :mod:`repro.obs.snapshot` — structured JSON snapshot emission consumed by
   the ``python -m repro.obs`` CLI (``dump`` / ``watch`` / ``trace <id>``)
   and the serving benchmark's ``--slo`` pass/fail check.
@@ -52,7 +50,6 @@ from repro.obs.profile import (
     use_profiling,
 )
 from repro.obs.slo import check_slo, format_slo, parse_slo
-from repro.obs.timer import Timer
 from repro.obs.trace import (
     Span,
     SpanContext,
@@ -97,7 +94,6 @@ __all__ = [
     "collect_traces",
     "spans_to_chrome",
     "write_chrome_trace",
-    "Timer",
     "Span",
     "SpanContext",
     "Tracer",

@@ -8,28 +8,37 @@ The fairness-aware reweighting solves
                 −1 ≤ w_v ≤ 1              (box)
 
 where ``c = I_fbias`` and ``u = I_futil`` are the per-node influence vectors.
-The paper uses Gurobi; this module provides two Gurobi-free backends that
-agree within tolerance on this small convex problem:
+The paper uses Gurobi; :func:`solve_qclp` solves the problem exactly through
+its Lagrangian dual.  For multipliers λ ≥ 0 (ball) and μ ≥ 0 (half-space)
+the Lagrangian separates over coordinates, and its minimiser over the box is
 
-* ``"slsqp"`` — SciPy's sequential least-squares programming,
-* ``"projected"`` — projected gradient descent with alternating projections
-  onto the box, ball and half-space constraints (dependency-free fallback and
-  cross-check used by the tests).
+    w(λ, μ) = clip(−(c + μu) / (2λ), −1, 1)        for λ > 0,
+
+or, for λ = 0, the box-LP vertex (−1 where c + μu > 0, +1 where it is < 0,
+0 where it is 0).  ``‖w‖²`` falls as λ grows and ``uᵀw`` falls as μ grows,
+so nested bisection finds the optimal multipliers:
+
+* for each μ, λ = 0 if the vertex lies in the ball, otherwise the λ at
+  which ``‖w‖² = α·|V_l|``;
+* μ = 0 if the utility constraint is slack there, otherwise the μ at which
+  ``uᵀw`` crosses the budget.  The two ends of the final μ bracket both
+  minimise the Lagrangian at the optimal μ, so the solution is the convex
+  combination of their primals with ``uᵀw`` exactly on the budget; this
+  also covers a whole face of optima when λ = 0.
+
+Each bisection runs until its midpoint equals an endpoint, i.e. to
+floating-point precision, so there is no iteration budget or tolerance to
+choose.  The method assumes finite influence vectors, finite α > 0 and
+β ≥ 0, and ``lower ≤ 0 ≤ upper`` so that w = 0 is feasible;
+:class:`QCLPProblem` rejects anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy import optimize
-
-from repro.optimization.projections import (
-    project_onto_ball,
-    project_onto_box,
-    project_onto_halfspace,
-)
 
 
 @dataclass
@@ -50,12 +59,19 @@ class QCLPProblem:
             raise ValueError("bias_influence must be a vector")
         if self.bias_influence.shape != self.utility_influence.shape:
             raise ValueError("bias and utility influence vectors must align")
+        if not (
+            np.isfinite(self.bias_influence).all()
+            and np.isfinite(self.utility_influence).all()
+        ):
+            raise ValueError("influence vectors must be finite")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+        if not self.lower <= 0.0 <= self.upper:
+            raise ValueError("the box must contain w = 0 (lower <= 0 <= upper)")
 
     @property
     def size(self) -> int:
@@ -75,19 +91,18 @@ class QCLPProblem:
 
 @dataclass
 class QCLPSolution:
-    """Result of a QCLP solve."""
+    """Result of a QCLP solve, with the KKT multipliers that certify it."""
 
     weights: np.ndarray
     objective: float
     feasible: bool
-    backend: str
-    iterations: int = 0
+    ball_multiplier: float
+    utility_multiplier: float
 
     def summary(self) -> dict:
         return {
             "objective": self.objective,
             "feasible": self.feasible,
-            "backend": self.backend,
             "weight_norm": float(np.linalg.norm(self.weights)),
             "min_weight": float(self.weights.min()) if self.weights.size else 0.0,
             "max_weight": float(self.weights.max()) if self.weights.size else 0.0,
@@ -103,103 +118,67 @@ def _is_feasible(problem: QCLPProblem, weights: np.ndarray, tol: float = 1e-6) -
     return ball_ok and utility_ok and box_ok
 
 
-def _solve_slsqp(problem: QCLPProblem, max_iterations: int) -> QCLPSolution:
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> Tuple[float, float]:
+    """Shrink ``[lo, hi]`` to adjacent floats, keeping ``below(lo)`` and ``not below(hi)``."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ball_primal(
+    gradient: np.ndarray, lower: float, upper: float, radius_squared: float
+) -> Tuple[np.ndarray, float]:
+    """Minimise ``gradientᵀw`` over the box and ball; return ``(w, λ)``."""
+    vertex = np.where(gradient > 0, lower, np.where(gradient < 0, upper, 0.0))
+    if vertex @ vertex <= radius_squared:
+        return vertex, 0.0
+
+    def primal(lam: float) -> np.ndarray:
+        return np.clip(-gradient / (2.0 * lam), lower, upper)
+
+    def outside(lam: float) -> bool:
+        weights = primal(lam)
+        return weights @ weights > radius_squared
+
+    # Unclipped, ‖w(λ)‖ = ‖gradient‖ / (2λ); at twice the λ where that meets
+    # the radius, w(λ) lies safely inside the ball.
+    _, lam = _bisect(outside, 0.0, np.linalg.norm(gradient) / np.sqrt(radius_squared))
+    return primal(lam), lam
+
+
+def solve_qclp(problem: QCLPProblem) -> QCLPSolution:
+    """Solve the fairness-aware reweighting QCLP exactly (see the module doc)."""
     c = problem.bias_influence
     u = problem.utility_influence
+    budget = problem.utility_budget
+    radius_squared = problem.ball_radius_squared
 
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda w: problem.ball_radius_squared - float(w @ w),
-            "jac": lambda w: -2.0 * w,
-        },
-        {
-            "type": "ineq",
-            "fun": lambda w: problem.utility_budget - float(u @ w),
-            "jac": lambda w: -u,
-        },
-    ]
-    bounds = [(problem.lower, problem.upper)] * problem.size
-    result = optimize.minimize(
-        fun=lambda w: float(c @ w),
-        x0=np.zeros(problem.size),
-        jac=lambda w: c,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": max_iterations, "ftol": 1e-9},
-    )
-    weights = np.asarray(result.x, dtype=np.float64)
-    # Clean up tiny constraint violations left by SLSQP.
-    weights = project_onto_box(weights, problem.lower, problem.upper)
-    weights = project_onto_ball(weights, np.sqrt(problem.ball_radius_squared))
+    def primal(mu: float) -> Tuple[np.ndarray, float]:
+        return _ball_primal(c + mu * u, problem.lower, problem.upper, radius_squared)
+
+    def over_budget(mu: float) -> bool:
+        return u @ primal(mu)[0] > budget
+
+    mu = 0.0
+    weights, lam = primal(mu)
+    if u @ weights > budget:
+        hi = 1.0
+        while over_budget(hi):
+            hi *= 2.0
+        lo, mu = _bisect(over_budget, 0.0, hi)
+        (w_lo, _), (w_hi, lam) = primal(lo), primal(mu)
+        # uᵀw_lo > budget ≥ uᵀw_hi: meet the budget exactly between them.
+        spent_lo, spent_hi = u @ w_lo, u @ w_hi
+        weights = w_hi + (budget - spent_hi) / (spent_lo - spent_hi) * (w_lo - w_hi)
     return QCLPSolution(
         weights=weights,
         objective=float(c @ weights),
         feasible=_is_feasible(problem, weights),
-        backend="slsqp",
-        iterations=int(result.nit),
+        ball_multiplier=float(lam),
+        utility_multiplier=float(mu),
     )
-
-
-def _solve_projected(
-    problem: QCLPProblem, max_iterations: int, step_size: Optional[float]
-) -> QCLPSolution:
-    c = problem.bias_influence
-    u = problem.utility_influence
-    radius = np.sqrt(problem.ball_radius_squared)
-    if step_size is None:
-        scale = max(float(np.linalg.norm(c)), 1e-12)
-        step_size = radius / scale / 10.0
-
-    weights = np.zeros(problem.size)
-    best = weights.copy()
-    best_objective = 0.0
-    for iteration in range(max_iterations):
-        weights = weights - step_size * c
-        # Alternating projections onto the three convex constraint sets.
-        for _ in range(5):
-            weights = project_onto_box(weights, problem.lower, problem.upper)
-            weights = project_onto_ball(weights, radius)
-            weights = project_onto_halfspace(weights, u, problem.utility_budget)
-        objective = float(c @ weights)
-        if objective < best_objective and _is_feasible(problem, weights, tol=1e-4):
-            best_objective = objective
-            best = weights.copy()
-    return QCLPSolution(
-        weights=best,
-        objective=best_objective,
-        feasible=_is_feasible(problem, best, tol=1e-4),
-        backend="projected",
-        iterations=max_iterations,
-    )
-
-
-def solve_qclp(
-    problem: QCLPProblem,
-    backend: str = "slsqp",
-    max_iterations: int = 300,
-    step_size: Optional[float] = None,
-) -> QCLPSolution:
-    """Solve the fairness-aware reweighting QCLP.
-
-    Parameters
-    ----------
-    problem:
-        Influence vectors and constraint levels.
-    backend:
-        ``"slsqp"`` (default) or ``"projected"``.
-    max_iterations:
-        Iteration budget of the chosen backend.
-    step_size:
-        Optional step size for the projected-gradient backend.
-    """
-    if problem.size == 0:
-        return QCLPSolution(
-            weights=np.zeros(0), objective=0.0, feasible=True, backend=backend
-        )
-    if backend == "slsqp":
-        return _solve_slsqp(problem, max_iterations)
-    if backend == "projected":
-        return _solve_projected(problem, max_iterations, step_size)
-    raise ValueError(f"unknown backend {backend!r}; use 'slsqp' or 'projected'")

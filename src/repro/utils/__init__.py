@@ -1,4 +1,4 @@
-"""Shared utilities: random-number management, validation and timing."""
+"""Shared utilities: random-number management, validation and caching."""
 
 from repro.utils.rng import RandomState, ensure_rng, spawn_children
 from repro.utils.validation import (
@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_in_range,
 )
 from repro.utils.cache import ArtifactCache, CacheStats, stable_hash
-from repro.utils.timing import Timer
 
 __all__ = [
     "RandomState",
@@ -25,5 +24,4 @@ __all__ = [
     "check_probability",
     "check_positive",
     "check_in_range",
-    "Timer",
 ]

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import check_slo, parse_slo, resolve_slo_histograms
 from repro.obs.snapshot import SnapshotEmitter, latest_snapshot, read_snapshots
-from repro.obs.timer import Timer
 from repro.obs.trace import (
     NULL_SPAN,
     Tracer,
@@ -442,64 +441,6 @@ class TestShardStatsSnapshot:
     def test_validate_passes_current_schema(self):
         snap = self._snapshot()
         assert snap.validate() is snap
-
-
-# --------------------------------------------------------------------- #
-# Timer (unified repro.utils.timing.Timer)
-# --------------------------------------------------------------------- #
-class TestTimer:
-    def test_backward_compatible_import(self):
-        from repro.utils.timing import Timer as LegacyTimer
-
-        assert LegacyTimer is Timer
-
-    def test_context_manager_and_accumulation(self):
-        timer = Timer("t")
-        with timer:
-            pass
-        with timer:
-            pass
-        assert timer.count == 2
-        assert timer.total >= timer.elapsed >= 0
-
-    def test_reentrant_nesting(self):
-        timer = Timer("outer")
-        with timer:
-            with timer:
-                pass
-            inner = timer.elapsed
-        assert timer.count == 2
-        assert timer.elapsed >= inner
-
-    def test_decorator_form(self):
-        timer = Timer("fn")
-
-        @timer
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert add(1, 1) == 2
-        assert timer.count == 2
-
-    def test_feeds_named_histogram(self):
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            timer = Timer("t", histogram="timed.section")
-            with timer:
-                pass
-        hist = registry.histogram("timed.section")
-        assert hist.count == 1
-
-    def test_trace_spans_per_section(self):
-        tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
-            timer = Timer("timed-stage", trace=True)
-            with tracer.span("root", new_trace=True) as root:
-                with timer:
-                    pass
-        names = {s["name"] for s in tracer.trace(root.trace_id)}
-        assert "timed-stage" in names
 
 
 # --------------------------------------------------------------------- #

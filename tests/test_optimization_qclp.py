@@ -1,56 +1,67 @@
-"""Tests for the QCLP solver and the projection primitives."""
+"""Tests for the exact QCLP solver of Eq. 13."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from repro.optimization.projections import (
-    project_onto_ball,
-    project_onto_box,
-    project_onto_halfspace,
-)
 from repro.optimization.qclp import QCLPProblem, solve_qclp
 
+REGIMES = ("ball", "halfspace", "both", "neither", "beta0")
 
-class TestProjections:
-    def test_box_projection(self):
-        np.testing.assert_allclose(
-            project_onto_box(np.array([-2.0, 0.5, 3.0]), -1.0, 1.0), [-1.0, 0.5, 1.0]
-        )
 
-    def test_box_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            project_onto_box(np.zeros(2), 1.0, -1.0)
+def _regime_problem(regime, seed, size=40):
+    """A random instance whose active constraints are set by ``regime``.
 
-    def test_ball_projection_inside_is_identity(self):
-        x = np.array([0.3, 0.4])
-        np.testing.assert_allclose(project_onto_ball(x, 1.0), x)
+    The box caps ‖w‖² at ``size``, so α ≥ 1 leaves the ball slack; β = 3
+    exceeds the largest possible ``uᵀw / Σ max(u, 0)`` on these draws, so
+    the half-space is slack; ``u`` anti-correlated with ``c`` makes the
+    box-LP vertex overspend a β = 0.1 budget.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=size)
+    noise = rng.normal(size=size)
+    alpha, beta, u = {
+        "ball": (0.2, 3.0, noise),
+        "halfspace": (1.5, 0.1, -c + 0.3 * noise),
+        "both": (0.3, 0.1, -c + 0.3 * noise),
+        "neither": (1.5, 3.0, noise),
+        "beta0": (0.5, 0.0, -c + 0.3 * noise),
+    }[regime]
+    return QCLPProblem(c, 0.1 * u, alpha=alpha, beta=beta)
 
-    def test_ball_projection_outside_scales_to_radius(self):
-        projected = project_onto_ball(np.array([3.0, 4.0]), 1.0)
-        assert np.linalg.norm(projected) == pytest.approx(1.0)
 
-    def test_ball_negative_radius(self):
-        with pytest.raises(ValueError):
-            project_onto_ball(np.ones(2), -1.0)
+def _slsqp_reference(problem):
+    """SciPy SLSQP on the same problem, as an independent reference."""
+    c, u = problem.bias_influence, problem.utility_influence
+    result = optimize.minimize(
+        fun=lambda w: float(c @ w),
+        x0=np.zeros(problem.size),
+        jac=lambda w: c,
+        bounds=[(problem.lower, problem.upper)] * problem.size,
+        constraints=[
+            {
+                "type": "ineq",
+                "fun": lambda w: problem.ball_radius_squared - float(w @ w),
+                "jac": lambda w: -2.0 * w,
+            },
+            {
+                "type": "ineq",
+                "fun": lambda w: problem.utility_budget - float(u @ w),
+                "jac": lambda w: -u,
+            },
+        ],
+        method="SLSQP",
+        options={"maxiter": 1000, "ftol": 1e-12},
+    )
+    return float(c @ result.x)
 
-    def test_halfspace_projection(self):
-        normal = np.array([1.0, 0.0])
-        inside = project_onto_halfspace(np.array([0.5, 2.0]), normal, 1.0)
-        np.testing.assert_allclose(inside, [0.5, 2.0])
-        outside = project_onto_halfspace(np.array([3.0, 2.0]), normal, 1.0)
-        np.testing.assert_allclose(outside, [1.0, 2.0])
 
-    @given(seed=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=25, deadline=None)
-    def test_property_projections_land_in_sets(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=6) * 5
-        assert np.all(np.abs(project_onto_box(x, -1, 1)) <= 1 + 1e-12)
-        assert np.linalg.norm(project_onto_ball(x, 2.0)) <= 2.0 + 1e-9
-        normal = rng.normal(size=6)
-        projected = project_onto_halfspace(x, normal, 0.5)
-        assert float(normal @ projected) <= 0.5 + 1e-8
+def _assert_feasible(problem, weights, tol=1e-12):
+    radius_squared = problem.ball_radius_squared
+    assert float(weights @ weights) <= radius_squared + tol * max(1.0, radius_squared)
+    assert float(problem.utility_influence @ weights) <= problem.utility_budget + tol
+    assert np.all(weights >= problem.lower) and np.all(weights <= problem.upper)
 
 
 class TestQCLPProblem:
@@ -61,6 +72,24 @@ class TestQCLPProblem:
             QCLPProblem(np.ones(3), np.ones(3), alpha=0.0)
         with pytest.raises(ValueError):
             QCLPProblem(np.ones((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"bias_influence": [1.0, np.nan, -1.0]},
+            {"utility_influence": [0.1, np.inf, 0.3]},
+            {"alpha": np.inf},
+            {"beta": np.nan},
+            {"lower": 0.5},
+            {"upper": -0.5},
+        ],
+    )
+    def test_rejects_inputs_without_a_meaningful_answer(self, kwargs):
+        """Non-finite data, or a box that excludes w = 0, has no usable optimum."""
+        arguments = {"bias_influence": [1.0, 0.0, -1.0], "utility_influence": [0.1, 0.2, 0.3]}
+        arguments.update(kwargs)
+        with pytest.raises(ValueError):
+            QCLPProblem(**arguments)
 
     def test_budgets(self):
         problem = QCLPProblem(np.ones(4), np.array([1.0, -1.0, 2.0, 0.0]), alpha=0.5, beta=0.2)
@@ -93,18 +122,6 @@ class TestSolveQCLP:
             solution = solve_qclp(self._random_problem(seed))
             assert solution.objective <= 1e-9
 
-    def test_backends_agree(self):
-        problem = self._random_problem(3)
-        slsqp = solve_qclp(problem, backend="slsqp")
-        projected = solve_qclp(problem, backend="projected", max_iterations=500)
-        assert projected.feasible
-        # The projected solver is a fallback: it must reach a comparable optimum.
-        assert projected.objective <= 0.7 * slsqp.objective or projected.objective <= slsqp.objective + 1e-6
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_qclp(self._random_problem(0), backend="gurobi")
-
     def test_empty_problem(self):
         solution = solve_qclp(QCLPProblem(np.zeros(0), np.zeros(0)))
         assert solution.weights.size == 0 and solution.feasible
@@ -127,16 +144,18 @@ class TestSolveQCLP:
         assert float(solution.weights @ solution.weights) >= 20.0  # constraint is active
 
     def test_utility_constraint_binds(self):
+        """c = −1, u = 1 has a whole face of optima {Σw = budget}, all with objective −1."""
         c = -np.ones(10)
         u = np.ones(10)  # any positive weight costs utility
         problem = QCLPProblem(c, u, alpha=10.0, beta=0.1)
         solution = solve_qclp(problem)
-        assert float(u @ solution.weights) <= problem.utility_budget + 1e-6
+        assert float(u @ solution.weights) == pytest.approx(problem.utility_budget, abs=1e-12)
+        assert solution.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_summary_keys(self):
         solution = solve_qclp(self._random_problem(1))
         summary = solution.summary()
-        assert {"objective", "feasible", "backend", "weight_norm"} <= set(summary)
+        assert {"objective", "feasible", "weight_norm"} <= set(summary)
 
     @given(seed=st.integers(min_value=0, max_value=100))
     @settings(max_examples=10, deadline=None)
@@ -144,3 +163,45 @@ class TestSolveQCLP:
         problem = self._random_problem(seed, size=15)
         solution = solve_qclp(problem)
         assert solution.feasible
+
+
+class TestExactness:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_not_worse_than_slsqp(self, regime, seed):
+        """Feasible to 1e-12 and never beaten by SLSQP.
+
+        The bound is one-sided: SLSQP may end slightly outside the ball, so
+        it can only come out ahead by being infeasible.
+        """
+        problem = _regime_problem(regime, seed)
+        solution = solve_qclp(problem)
+        _assert_feasible(problem, solution.weights)
+        reference = _slsqp_reference(problem)
+        assert solution.objective <= reference + 1e-7 * (1.0 + abs(reference))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kkt_certificate(self, regime, seed):
+        """λ, μ ≥ 0, complementary slackness and box-stationarity to 1e-9."""
+        problem = _regime_problem(regime, seed)
+        solution = solve_qclp(problem)
+        w = solution.weights
+        c, u = problem.bias_influence, problem.utility_influence
+        lam, mu = solution.ball_multiplier, solution.utility_multiplier
+        assert lam >= 0.0 and mu >= 0.0
+        ball_active = regime in ("ball", "both", "beta0")
+        utility_active = regime in ("halfspace", "both", "beta0")
+        assert (lam > 0.0) == ball_active
+        assert (mu > 0.0) == utility_active
+        assert abs(lam * (float(w @ w) - problem.ball_radius_squared)) <= 1e-9
+        assert abs(mu * (float(u @ w) - problem.utility_budget)) <= 1e-9
+        # ∇ of the Lagrangian: zero inside the box, pointing outward at a bound.
+        gradient = c + mu * u + 2.0 * lam * w
+        tol = 1e-9 * (1.0 + np.abs(c).max() + mu * np.abs(u).max())
+        at_lower = w <= problem.lower
+        at_upper = w >= problem.upper
+        inside = ~(at_lower | at_upper)
+        assert np.all(np.abs(gradient[inside]) <= tol)
+        assert np.all(gradient[at_lower] >= -tol)
+        assert np.all(gradient[at_upper] <= tol)
