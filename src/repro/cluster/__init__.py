@@ -14,7 +14,7 @@ every cache miss under one GIL.  This package scales it across processes:
   the ``MutationListener`` protocol, assigns ownership on ``add_node`` and
   aggregates per-shard stats.
 
-``python -m repro.cluster serve --shards N`` serves a registered model over
+``python -m repro.serve serve --shards N`` serves a registered model over
 a worker cluster.
 """
 

@@ -8,9 +8,10 @@ ego blocks, keyed sampling, logit cache and k-hop dirty sets behave
 *identically* to a single-process engine's.
 
 The worker runs in-process (tests, debugging) or as a child process behind a
-command pipe (:class:`ProcessWorker`): the router sends ``(command, payload)``
-tuples — ``predict`` / ``mutate`` / ``stats`` / ``shutdown`` — and each reply
-is ``("ok", value)`` or ``("error", message)``.  Process workers load their
+command pipe (:class:`ProcessWorker`): the router sends ``(command, payload,
+ctx)`` tuples — ``predict`` / ``mutate`` / ``stats`` / ``shutdown``, with the
+sender's trace context or ``None`` — and each reply is ``("ok", value)`` or
+``("error", message)``, plus the worker's recorded spans when traced.  Process workers load their
 model parameters from the shared on-disk
 :class:`~repro.serve.registry.ModelRegistry` rather than receiving a pickled
 model, so every replica serves exactly the committed registry version.
@@ -334,6 +335,23 @@ class ShardWorker:
         raise ClusterWorkerError(f"unknown command {command!r}")
 
 
+def _handle(worker: ShardWorker, command: str, payload, ctx) -> Tuple[str, object]:
+    """Run one command under the sender's trace context (both frontends).
+
+    Returns the protocol reply ``("ok", value)`` or ``("error", message)``.
+    """
+    received_at = time.time()
+    try:
+        with adopt(ctx):
+            with obs_span("worker.handle") as handle_span:
+                handle_span.set(command=command, shard=worker.shard_id)
+                if ctx is not None:
+                    handle_span.set(ipc_wait_s=round(received_at - ctx.sent_at, 6))
+                return ("ok", worker.handle(command, payload))
+    except Exception as error:  # noqa: BLE001 - mirrored to the protocol
+        return ("error", f"{type(error).__name__}: {error}")
+
+
 class InProcessWorker:
     """Pipe-free worker frontend: same protocol, same thread (tests/CLI)."""
 
@@ -345,18 +363,7 @@ class InProcessWorker:
         if command == "shutdown":
             self._pending = ("ok", None)
             return
-        try:
-            with adopt(ctx):
-                with obs_span("worker.handle") as handle_span:
-                    handle_span.set(
-                        command=command, shard=self._worker.shard_id
-                    )
-                    self._pending = (
-                        "ok",
-                        self._worker.handle(command, payload),
-                    )
-        except Exception as error:  # noqa: BLE001 - mirrored to the protocol
-            self._pending = ("error", f"{type(error).__name__}: {error}")
+        self._pending = _handle(self._worker, command, payload, ctx)
 
     def recv(self):
         status, value = self._pending
@@ -424,42 +431,17 @@ def _worker_main(
         tracer.drain()  # discard construction-time spans (no parent request)
         while True:
             try:
-                message = conn.recv()
+                command, payload, ctx = conn.recv()
             except (EOFError, OSError):
                 return
-            # Commands are (command, payload, ctx) since the telemetry
-            # protocol bump; plain 2-tuples remain accepted.
-            if len(message) == 3:
-                command, payload, ctx = message
-            else:
-                command, payload = message
-                ctx = None
             if command == "shutdown":
                 conn.send(("ok", None))
                 return
-            received_at = time.time()
-            try:
-                with adopt(ctx):
-                    with obs_span("worker.handle") as handle_span:
-                        if ctx is not None:
-                            handle_span.set(
-                                command=command,
-                                shard=worker.shard_id,
-                                ipc_wait_s=round(
-                                    received_at - ctx.sent_at, 6
-                                ),
-                            )
-                        value = worker.handle(command, payload)
-            except Exception as error:  # noqa: BLE001 - mirrored to the protocol
-                conn.send(("error", f"{type(error).__name__}: {error}"))
-                continue
+            reply = _handle(worker, command, payload, ctx)
             # Ship the spans recorded while handling (child processes have
             # no other path back to the parent's trace store).
             shipped = tracer.drain() if ctx is not None else []
-            if shipped:
-                conn.send(("ok", value, shipped))
-            else:
-                conn.send(("ok", value))
+            conn.send(reply + (shipped,) if shipped else reply)
 
 
 class ProcessWorker:
@@ -485,13 +467,13 @@ class ProcessWorker:
 
     def recv(self):
         reply = self._conn.recv()
-        status, value = reply[0], reply[1]
-        if status == "error":
-            raise ClusterWorkerError(value)
-        if len(reply) == 3 and reply[2]:
+        if len(reply) == 3:
             # Spans recorded in the child while handling this command:
             # stitch them into the router-process trace store.
             get_tracer().ingest(reply[2])
+        status, value = reply[0], reply[1]
+        if status == "error":
+            raise ClusterWorkerError(value)
         return value
 
     def request(self, command: str, payload=None, ctx=None):
@@ -501,7 +483,7 @@ class ProcessWorker:
     def close(self) -> None:
         if self.process.is_alive():
             try:
-                self._conn.send(("shutdown", None))
+                self._conn.send(("shutdown", None, None))
                 self._conn.recv()
             except (BrokenPipeError, EOFError, OSError):
                 pass

@@ -171,13 +171,18 @@ def cmd_watch(args) -> int:
             return 0
 
 
+def _resolve_trace_id(traces: Dict[str, List[Dict]], trace_id: str) -> str:
+    """``trace_id`` itself or the one known id it prefixes."""
+    if trace_id in traces:
+        return trace_id
+    prefixed = [tid for tid in traces if tid.startswith(trace_id)]
+    if len(prefixed) != 1:
+        raise ValueError(f"unknown trace {trace_id!r}; known: {', '.join(traces)}")
+    return prefixed[0]
+
+
 def cmd_trace(args) -> int:
-    snapshots = read_snapshots(args.path)
-    # Later snapshots may carry more complete versions of the same trace.
-    traces: Dict[str, List[Dict]] = {}
-    for snapshot in snapshots:
-        for tid, spans in snapshot.get("traces", {}).items():
-            traces[tid] = spans
+    traces = collect_traces(read_snapshots(args.path))
     if not traces:
         print("no traces recorded (was tracing enabled? --telemetry)")
         return 1
@@ -186,13 +191,7 @@ def cmd_trace(args) -> int:
         trace_id = max(traces, key=lambda tid: len(traces[tid]))
     elif args.last or trace_id is None:
         trace_id = list(traces)[-1]
-    if trace_id not in traces:
-        prefixed = [tid for tid in traces if tid.startswith(trace_id)]
-        if len(prefixed) == 1:
-            trace_id = prefixed[0]
-        else:
-            print(f"unknown trace {trace_id!r}; known: {', '.join(traces)}")
-            return 1
+    trace_id = _resolve_trace_id(traces, trace_id)
     spans = traces[trace_id]
     pids = sorted({s["pid"] for s in spans})
     print(f"trace {trace_id}: {len(spans)} spans across pids {pids}")
@@ -221,12 +220,8 @@ def cmd_export(args) -> int:
         print("no traces recorded (was tracing enabled? --telemetry)")
         return 1
     trace_id = args.trace_id
-    if trace_id is not None and trace_id not in traces:
-        prefixed = [tid for tid in traces if tid.startswith(trace_id)]
-        if len(prefixed) != 1:
-            print(f"unknown trace {trace_id!r}; known: {', '.join(traces)}")
-            return 1
-        trace_id = prefixed[0]
+    if trace_id is not None:
+        trace_id = _resolve_trace_id(traces, trace_id)
     count = write_chrome_trace(args.out, traces, trace_id)
     scope = trace_id if trace_id else f"{len(traces)} traces"
     print(f"wrote {count} chrome-trace events ({scope}) to {args.out}")

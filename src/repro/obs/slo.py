@@ -6,7 +6,7 @@ request-latency histogram the bench loop fills — a violated objective turns
 the run's exit code to 1, which is all a CI job needs to fail a regression.
 
 Objectives can also target *named* histograms:
-``--slo p99:cluster.cli.latency=50,p99:worker.compute=20`` gates any
+``--slo p99:serve.cli.latency=50,p99:worker.compute=20`` gates any
 histogram the run recorded (resolved by bare metric name across label sets,
 including distributions merged router-side from shard workers).  The bare
 ``p99=50`` form keeps meaning "the CLI's own request-latency histogram".

@@ -10,6 +10,11 @@ Serve 200 requests from the registered model, mutating the graph halfway::
 
     python -m repro.serve serve --name cora-gcn --requests 200 --mutate 16
 
+Serve the same stream over four shard worker processes and check the
+answers against a fresh single-process engine::
+
+    python -m repro.serve serve --name cora-gcn --shards 4 --requests 200 --mutate 16 --verify
+
 List registry contents::
 
     python -m repro.serve list
@@ -24,6 +29,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cluster.partition import PARTITION_STRATEGIES
+from repro.cluster.router import ShardRouter
+from repro.core.config import ComputeConfig
 from repro.datasets import load_dataset
 from repro.gnn.models import MODEL_REGISTRY, build_model
 from repro.obs.metrics import active_metrics, next_instance
@@ -101,10 +109,53 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="serve through a sharded worker cluster instead of one engine "
-        "(delegates to python -m repro.cluster serve)",
+        help="serve through a ShardRouter over this many worker processes "
+        "instead of one engine",
     )
-    add_telemetry_arguments(serve)
+    serve.add_argument(
+        "--strategy",
+        default="greedy",
+        choices=PARTITION_STRATEGIES,
+        help="node ownership strategy for --shards (default: greedy)",
+    )
+    serve.add_argument(
+        "--verify",
+        action="store_true",
+        help="compare final answers against a fresh single-process engine",
+    )
+    serve.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="enable request tracing and telemetry snapshot emission",
+    )
+    serve.add_argument(
+        "--profile",
+        action="store_true",
+        help="enable the kernel-level profiler (per-op times, flops, memory "
+        "high-water marks; with --telemetry, kernel events join the "
+        "request timelines)",
+    )
+    serve.add_argument(
+        "--obs-path",
+        default=DEFAULT_SNAPSHOT_PATH,
+        help=f"telemetry snapshot JSONL path (default: {DEFAULT_SNAPSHOT_PATH})",
+    )
+    serve.add_argument(
+        "--obs-interval",
+        type=float,
+        default=0.0,
+        help="emit a snapshot every N seconds while serving "
+        "(default: one final snapshot)",
+    )
+    serve.add_argument(
+        "--slo",
+        type=parse_slo,
+        default=None,
+        metavar="SPEC",
+        help="latency objectives in ms, e.g. 'p99=50' or 'p50=10,p99=50'; "
+        "'p99:worker.compute=20' targets a named histogram; violations "
+        "exit 1",
+    )
 
     commands.add_parser(
         "list", parents=[common], help="list registered models and versions"
@@ -135,43 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     unpin.add_argument("--name", required=True)
     unpin.add_argument("--version", type=int, required=True)
     return parser
-
-
-def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The telemetry flag group shared by the serve and cluster CLIs."""
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="enable request tracing and telemetry snapshot emission",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the kernel-level profiler (per-op times, flops, memory "
-        "high-water marks; with --telemetry, kernel events join the "
-        "request timelines)",
-    )
-    parser.add_argument(
-        "--obs-path",
-        default=DEFAULT_SNAPSHOT_PATH,
-        help=f"telemetry snapshot JSONL path (default: {DEFAULT_SNAPSHOT_PATH})",
-    )
-    parser.add_argument(
-        "--obs-interval",
-        type=float,
-        default=0.0,
-        help="emit a snapshot every N seconds while serving "
-        "(default: one final snapshot)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=parse_slo,
-        default=None,
-        metavar="SPEC",
-        help="latency objectives in ms, e.g. 'p99=50' or 'p50=10,p99=50'; "
-        "'p99:worker.compute=20' targets a named histogram; violations "
-        "exit 1",
-    )
 
 
 def _rebuild_graph(meta: dict):
@@ -220,38 +234,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.shards is not None:
-        from repro.cluster.__main__ import main as cluster_main
-
-        argv = [
-            "serve",
-            "--registry", args.registry,
-            "--name", args.name,
-            "--shards", str(args.shards),
-            "--requests", str(args.requests),
-            "--mutate", str(args.mutate),
-            "--seed", str(args.seed),
-            "--batch-size", str(args.batch_size),
-            "--obs-path", args.obs_path,
-            "--obs-interval", str(args.obs_interval),
-        ]
-        if args.telemetry:
-            argv.append("--telemetry")
-        if args.profile:
-            argv.append("--profile")
-        if args.slo is not None:
-            argv += [
-                "--slo",
-                ",".join(f"{k}={v * 1e3:g}" for k, v in args.slo.items()),
-            ]
-        if args.version is not None:
-            argv += ["--version", str(args.version)]
-        if args.fanouts is not None:
-            argv += [
-                "--fanouts",
-                ",".join("all" if f is None else str(f) for f in args.fanouts),
-            ]
-        return cluster_main(argv)
+    # ComputeConfig is the shared validation surface for compute selection;
+    # the --shards flag goes through it like --backend/--jobs do elsewhere.
+    try:
+        shards = ComputeConfig(shards=args.shards).shards
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
     registry = ModelRegistry(args.registry)
     meta = registry.read_meta(args.name, version=args.version)
     graph = _rebuild_graph(meta)
@@ -259,8 +247,10 @@ def cmd_serve(args) -> int:
     # the structure the model was trained on.
     model, meta = registry.load(args.name, version=args.version, expect_graph=graph)
     session = GraphSession.from_graph(graph)
-    engine = InferenceEngine(model, session, ServeConfig(fanouts=args.fanouts))
-    batcher = RequestBatcher(engine, max_batch_size=args.batch_size).start()
+    config = ServeConfig(fanouts=args.fanouts)
+    # Before the front end: shard workers read both flags from WorkerInit
+    # at construction.  An unset flag leaves REPRO_TELEMETRY/REPRO_PROFILE
+    # in charge.
     if args.telemetry:
         set_tracing(True)
     if args.profile:
@@ -278,61 +268,151 @@ def cmd_serve(args) -> int:
     rng = np.random.default_rng(args.seed)
     nodes = rng.integers(0, session.num_nodes, size=args.requests)
     half = args.requests // 2
-    # The bench loop's own latency record is a registry histogram (streaming
-    # p50/p99 over log-spaced buckets) instead of the old perf_counter list.
+    # The bench loop's own latency record is a registry histogram
+    # (streaming p50/p99 over log-spaced buckets).
     latency = active_metrics().histogram(
         "serve.cli.latency",
         component="serve_cli",
         instance=next_instance(),
     )
-
-    def fire(batch_nodes) -> None:
-        pending = [
-            (time.perf_counter(), batcher.submit(int(node))) for node in batch_nodes
-        ]
-        for submitted, future in pending:
-            future.result()
-            latency.observe(time.perf_counter() - submitted)
-
-    started = time.perf_counter()
-    fire(nodes[:half])
-    if args.mutate > 0:
-        pairs = np.stack(
-            [
-                rng.integers(0, session.num_nodes, size=args.mutate),
-                rng.integers(0, session.num_nodes, size=args.mutate),
-            ],
-            axis=1,
+    if shards is None:
+        router = None
+        frontend = InferenceEngine(model, session, config)
+    else:
+        router = frontend = ShardRouter(
+            model,
+            session,
+            num_shards=shards,
+            strategy=args.strategy,
+            config=config,
+            workers="process",
+            model_ref=(args.registry, args.name, meta["version"]),
         )
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        session.add_edges(pairs)
-        print(f"mutated: +{pairs.shape[0]} random edges (revision {session.revision})")
-    fire(nodes[half:])
-    elapsed = time.perf_counter() - started
-    batcher.stop()
-    if emitter is not None:
-        emitter.stop()
-        print(f"telemetry: snapshots at {args.obs_path}")
-
-    stats = engine.cache_stats
-    print(
-        f"served {args.requests} requests in {elapsed:.3f}s "
-        f"({args.requests / elapsed:.0f} req/s)"
-    )
-    if latency.count:
+        owned_sizes = np.bincount(router.owners, minlength=shards).tolist()
         print(
-            f"latency p50 {latency.quantile(0.50) * 1e3:.2f}ms  "
-            f"p99 {latency.quantile(0.99) * 1e3:.2f}ms"
+            f"cluster up: {shards} shard processes, strategy={args.strategy} "
+            f"(owned sizes {owned_sizes})"
         )
-    if stats is not None:
+    try:
+        batcher = RequestBatcher(frontend, max_batch_size=args.batch_size).start()
+
+        def fire(batch_nodes) -> None:
+            pending = [
+                (time.perf_counter(), batcher.submit(int(node)))
+                for node in batch_nodes
+            ]
+            for submitted, future in pending:
+                future.result()
+                latency.observe(time.perf_counter() - submitted)
+
+        started = time.perf_counter()
+        fire(nodes[:half])
+        if args.mutate > 0:
+            pairs = np.stack(
+                [
+                    rng.integers(0, session.num_nodes, size=args.mutate),
+                    rng.integers(0, session.num_nodes, size=args.mutate),
+                ],
+                axis=1,
+            )
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            session.add_edges(pairs)
+            print(
+                f"mutated: +{pairs.shape[0]} random edges "
+                f"(revision {session.revision})"
+            )
+        fire(nodes[half:])
+        elapsed = time.perf_counter() - started
+        batcher.stop()
+
+        if router is not None:
+            stats = router.stats()
+            # Shard workers ship histogram bucket states and kernel-profiler
+            # tables in their stats; merging them here makes the final
+            # snapshot, `repro.obs top` and the SLO gate span the cluster.
+            instance = next_instance()
+            for shard in stats.shards:
+                for name, state in (shard.histograms or {}).items():
+                    active_metrics().histogram(
+                        name,
+                        component="shard_worker",
+                        shard=shard.shard_id,
+                        instance=instance,
+                    ).merge(state)
+                if shard.profile:
+                    global_profiler().merge_table(shard.profile["ops"])
+                    global_profiler().merge_memory(shard.profile["memory"])
+        if emitter is not None:
+            emitter.stop()
+            print(f"telemetry: snapshots at {args.obs_path}")
+
         print(
-            f"logit cache: {stats.hits} hits / {stats.misses} misses "
-            f"({stats.invalidated} invalidated, {stats.size} resident)"
+            f"served {args.requests} requests in {elapsed:.3f}s "
+            f"({args.requests / elapsed:.0f} req/s)"
         )
-    print(
-        f"batches: {batcher.stats.batches} "
-        f"(mean size {batcher.stats.mean_batch_size:.1f})"
-    )
+        if latency.count:
+            print(
+                f"latency p50 {latency.quantile(0.50) * 1e3:.2f}ms  "
+                f"p99 {latency.quantile(0.99) * 1e3:.2f}ms"
+            )
+        if router is None:
+            cache = frontend.cache_stats
+            if cache is not None:
+                print(
+                    f"logit cache: {cache.hits} hits / {cache.misses} misses "
+                    f"({cache.invalidated} invalidated, {cache.size} resident)"
+                )
+        else:
+            compute = stats.merged_histograms().get("worker.compute")
+            if compute is not None and compute.count:
+                print(
+                    f"worker compute (all shards) "
+                    f"p50 {compute.quantile(0.50) * 1e3:.2f}ms  "
+                    f"p99 {compute.quantile(0.99) * 1e3:.2f}ms"
+                )
+            for shard in stats.shards:
+                print(
+                    f"  shard {shard['shard_id']}: owned {shard['owned']}, "
+                    f"{shard['requests']} requests, "
+                    f"{shard['hits']} hits / {shard['misses']} misses "
+                    f"({shard['invalidated']} invalidated)"
+                )
+        print(
+            f"batches: {batcher.stats.batches} "
+            f"(mean size {batcher.stats.mean_batch_size:.1f})"
+        )
+
+        if args.verify:
+            if args.fanouts is not None and args.mutate > 0:
+                # Warm sampled entries were keyed at pre-mutation versions; a
+                # fresh engine keys everything at the current version, so the
+                # comparison is only defined without mid-stream mutations.
+                print("verify: skipped (sampled mode with mid-stream mutations)")
+            else:
+                # A replica session starting from the live session's mutation
+                # counter draws the same sampling keys, so the check is exact
+                # in sampled mode too.
+                reference = InferenceEngine(
+                    model,
+                    GraphSession(
+                        session.csr, session.features, initial_version=session.version
+                    ),
+                    config,
+                )
+                ok = bool(
+                    np.allclose(
+                        frontend.predict_logits(nodes),
+                        reference.predict_logits(nodes),
+                        atol=1e-8,
+                    )
+                )
+                print(f"verify vs fresh engine: {'OK' if ok else 'MISMATCH'}")
+                if not ok:
+                    return 1
+    finally:
+        if router is not None:
+            router.close()
+
     if args.profile:
         profiler = global_profiler()
         print("profile (hottest kernels):")
