@@ -1,8 +1,8 @@
 """Apply PPFR as a plug-and-play fine-tuning step on an existing trained model.
 
 This mirrors the deployment story of the paper: a developer already has a
-vanilla-trained production GNN; PPFR fine-tunes it in place (perturbed graph +
-reweighted loss) to improve individual fairness while keeping edge-leakage
+vanilla-trained production GNN; PPFR fine-tunes a copy of it (perturbed graph
++ reweighted loss) to improve individual fairness while keeping edge-leakage
 risk in check.
 
 Run with::

@@ -3,10 +3,16 @@
 The pins live in ``results/autodiff_pins.json``, the one file under
 ``results/`` that is committed (``.gitignore`` re-includes it).  They are
 the quick-preset seed-0 row hashes of the training pipeline as it stood
-before SciPy's CSR kernel replaced the hand-written ``spmm``.  Training
-numerics must not move at all — every float in the quick table3/figure4 rows
-is canonicalised via ``float.hex`` (lossless) and the rows hashed, so a
-single ULP of drift anywhere in the training pipeline fails this check.
+before SciPy's CSR kernel replaced the hand-written ``spmm``; the Table IV
+pins were taken before its DPFR and PPFR rows started fine-tuning a shared
+vanilla snapshot.  Training numerics must not move at all — every float in
+the quick table3/figure4/table4 rows is canonicalised via ``float.hex``
+(lossless) and the rows hashed, so a single ULP of drift anywhere in the
+training pipeline fails this check.
+
+The all-dataset Table IV pin holds for a multi-threaded BLAS (any thread
+count from 2 up); with a single BLAS thread pubmed's bias columns differ in
+the last bits, so run ``--full`` with the BLAS default on a multi-core host.
 
 Usage::
 
@@ -49,7 +55,7 @@ def main() -> int:
     options = parser.parse_args()
 
     from repro.experiments.figures import figure4_attack_auc
-    from repro.experiments.tables import table3_accuracy_bias
+    from repro.experiments.tables import table3_accuracy_bias, table4_ppfr_effectiveness
 
     pins = json.loads(PINS_PATH.read_text())
     datasets = None if options.full else ["cora"]
@@ -57,9 +63,14 @@ def main() -> int:
 
     table3 = table3_accuracy_bias("quick", seed=pins["seed"], datasets=datasets)
     figure4 = figure4_attack_auc("quick", seed=pins["seed"], datasets=datasets)
+    table4 = table4_ppfr_effectiveness("quick", seed=pins["seed"], datasets=datasets)
 
     failures = []
-    for name, rows in (("table3", table3.rows), ("figure4", figure4.rows)):
+    for name, rows in (
+        ("table3", table3.rows),
+        ("figure4", figure4.rows),
+        ("table4", table4.rows),
+    ):
         digest = row_hash(rows)
         pinned = pins[f"{name}_{suffix}"]
         status = "OK" if digest == pinned else "MISMATCH"

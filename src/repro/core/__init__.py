@@ -19,6 +19,8 @@ from repro.core.perturbation import privacy_aware_perturbation, PerturbationResu
 from repro.core.results import MethodEvaluation, MethodRun, evaluate_method
 from repro.core.delta import delta_report, DeltaReport
 from repro.core.baselines import (
+    VanillaPhase,
+    fine_tune_method,
     run_vanilla,
     run_reg,
     run_dp_reg,
@@ -40,6 +42,8 @@ __all__ = [
     "evaluate_method",
     "delta_report",
     "DeltaReport",
+    "VanillaPhase",
+    "fine_tune_method",
     "run_vanilla",
     "run_reg",
     "run_dp_reg",

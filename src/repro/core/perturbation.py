@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.gnn.models import GNNModel
 from repro.graphs.graph import Graph
-from repro.graphs.perturb import heterophilic_candidates
 from repro.graphs.revision import tag_adjacency
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -93,33 +92,39 @@ def privacy_aware_perturbation(
             gamma=gamma,
         )
 
-    for node in range(n):
-        degree = int(np.count_nonzero(adjacency[node]))
+    # Row i holds node i's heterophilic candidates (see heterophilic_candidates):
+    # unconnected nodes predicted into another class.  When node i injects
+    # edges to nodes J, entries (J, i) are cleared so no j re-adds its edge.
+    pools = (adjacency == 0) & (predicted_labels[:, None] != predicted_labels[None, :])
+    sources, targets = [], []
+    for node, degree in enumerate(np.count_nonzero(adjacency, axis=1).tolist()):
         budget = int(round(gamma * degree))
         if budget <= 0:
             continue
-        candidates = heterophilic_candidates(adjacency, predicted_labels, node)
-        # Do not re-add edges already injected for this node from the other side.
-        already = np.nonzero(delta[node])[0]
-        if already.size:
-            candidates = np.setdiff1d(candidates, already, assume_unique=False)
+        candidates = pools[node].nonzero()[0]
         if candidates.size == 0:
             continue
-        chosen = generator.choice(
-            candidates, size=min(budget, candidates.size), replace=False
-        )
-        delta[node, chosen] = 1.0
-        delta[chosen, node] = 1.0
+        # Drawing positions draws the same stream as drawing from the array.
+        chosen = candidates[
+            generator.choice(candidates.size, size=min(budget, candidates.size), replace=False)
+        ]
+        pools[chosen, node] = False
+        sources.append(np.full(chosen.size, node))
+        targets.append(chosen)
 
-    perturbed = np.clip(adjacency + delta, 0.0, 1.0)
+    # Every injected pair is distinct and joins two unconnected nodes.
+    rows = np.concatenate(sources) if sources else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(targets) if targets else np.empty(0, dtype=np.int64)
+    delta[rows, cols] = delta[cols, rows] = 1.0
+    perturbed = np.clip(adjacency, 0.0, 1.0)
+    perturbed[rows, cols] = perturbed[cols, rows] = 1.0
     np.fill_diagonal(perturbed, 0.0)
     # The perturbed structure is owned by this result and never mutated, so
     # PPFR's repeated fine-tune forwards can reuse its cached normalisation.
     tag_adjacency(perturbed, owned=True)
-    num_added = int(np.count_nonzero(np.triu(delta, k=1)))
     return PerturbationResult(
         perturbed_adjacency=perturbed,
         delta_adjacency=delta,
-        num_added_edges=num_added,
+        num_added_edges=int(rows.size),
         gamma=gamma,
     )

@@ -3,7 +3,9 @@
 ``run_all_methods`` trains every requested method on one (dataset, model)
 cell, evaluates each on accuracy / bias / risk and reports the Δ scorecards
 against the vanilla baseline — this is the building block every table and
-figure of the paper is assembled from.
+figure of the paper is assembled from.  The cell's vanilla run is phase one
+of every fine-tune method in it, so vanilla training and the FR weights
+happen once per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.baselines import (
+    VanillaPhase,
     run_dp_fr,
     run_dp_reg,
     run_fr_only,
@@ -42,6 +45,9 @@ METHOD_RUNNERS: Dict[str, MethodRunner] = {
     "pp": run_pp_only,
 }
 """Name → runner for every training scheme evaluated in the paper."""
+
+FINE_TUNE_METHODS = ("dpfr", "ppfr", "fr", "pp")
+"""Methods that fine-tune a vanilla phase; their runners accept ``vanilla=``."""
 
 
 def run_method(
@@ -79,6 +85,10 @@ def run_all_methods(
 ) -> Dict[str, object]:
     """Run the requested methods on one (dataset, model) cell.
 
+    The fine-tune methods (:data:`FINE_TUNE_METHODS`) share the cell's
+    vanilla run as their phase one instead of each training their own;
+    their results equal standalone :func:`run_method` calls bitwise.
+
     Returns a dictionary with
 
     * ``"runs"`` — method name → :class:`MethodRun`,
@@ -96,9 +106,8 @@ def run_all_methods(
     model without paying for an attack evaluation they discard.  Both stages
     are deterministic, so cached and recomputed results are identical.
     """
-    methods = list(methods)
-    if "vanilla" not in methods:
-        methods = ["vanilla"] + methods
+    # Vanilla first: it is the Δ baseline and the fine-tune methods' phase one.
+    methods = ["vanilla"] + [method for method in methods if method != "vanilla"]
 
     attack = LinkStealingAttack(seed=settings.attack_seed)
     similarity_memo: List[object] = []
@@ -111,10 +120,20 @@ def run_all_methods(
 
     runs: Dict[str, MethodRun] = {}
     evaluations: Dict[str, MethodEvaluation] = {}
+    phase_memo: List[VanillaPhase] = []
+
+    def shared_phase() -> VanillaPhase:
+        # Built on first use so the FR weights are derived once per call.
+        if not phase_memo:
+            phase_memo.append(VanillaPhase(runs["vanilla"], settings))
+        return phase_memo[0]
+
     with settings.compute.activate():
         for method in methods:
 
             def train(method: str = method) -> MethodRun:
+                if method in FINE_TUNE_METHODS:
+                    return METHOD_RUNNERS[method](None, graph, settings, vanilla=shared_phase())
                 return run_method(method, model_name, graph, settings, hidden_features)
 
             if artifact_cache is not None and cache_key is not None:

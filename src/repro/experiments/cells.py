@@ -23,16 +23,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
+from repro.core.baselines import VanillaPhase, fine_tune_method
 from repro.core.perturbation import privacy_aware_perturbation
 from repro.core.pipeline import run_all_methods, run_method
 from repro.core.results import MethodRun, evaluate_method
 from repro.datasets import load_dataset
 from repro.experiments.presets import ExperimentPreset
 from repro.fairness.inform import bias_from_graph
-from repro.fairness.reweighting import compute_fairness_weights
-from repro.gnn.trainer import Trainer
 from repro.graphs.homophily import class_linking_probabilities, edge_homophily
 from repro.graphs.khop import two_hop_ratio_empirical, two_hop_ratio_theoretical
 from repro.graphs.similarity import graph_similarity
@@ -99,17 +96,17 @@ def methods_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Dict:
     }
 
 
-def _vanilla_model(spec, graph, settings, artifact_cache: Optional[ArtifactCache]):
-    """A vanilla-trained victim model, reusing the methods-cell artifact.
+def _vanilla_run(spec, graph, settings, artifact_cache: Optional[ArtifactCache]) -> MethodRun:
+    """The cell's vanilla run, reusing the methods-cell artifact.
 
     With a cache, the trained vanilla ``MethodRun`` is shared with any
     ``methods`` cell on the same (dataset, model, seed, preset) — Table II's
-    victim *is* Table IV's vanilla baseline.  Only the *training* artifact is
-    touched (the evaluation lives under a separate ``eval:`` key), so
-    influence/diagnostics cells never pay for an attack evaluation they
-    discard.  Both paths train identically, so cache state never changes
-    results.  Cached models are read-only by contract: callers must not
-    continue training them.
+    victim *is* Table IV's vanilla baseline, and Figure 6's arms fine-tune
+    copies of it.  Only the *training* artifact is touched (the evaluation
+    lives under a separate ``eval:`` key), so influence/diagnostics cells
+    never pay for an attack evaluation they discard.  Both paths train
+    identically, so cache state never changes results.  Cached models are
+    read-only by contract: callers must not continue training them.
     """
     preset: ExperimentPreset = spec.preset
 
@@ -119,9 +116,8 @@ def _vanilla_model(spec, graph, settings, artifact_cache: Optional[ArtifactCache
         )
 
     if artifact_cache is None:
-        return train().model
-    run = artifact_cache.get_or_create(f"train:{method_scope_key(spec)}:vanilla", train)
-    return run.model
+        return train()
+    return artifact_cache.get_or_create(f"train:{method_scope_key(spec)}:vanilla", train)
 
 
 def influence_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Dict:
@@ -129,7 +125,7 @@ def influence_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Dict
     preset: ExperimentPreset = spec.preset
     graph = load_dataset(spec.dataset, seed=spec.seed, scale=preset.dataset_scale)
     settings = preset.method_settings(spec.dataset, seed=spec.seed)
-    model = _vanilla_model(spec, graph, settings, artifact_cache)
+    model = _vanilla_run(spec, graph, settings, artifact_cache).model
     estimator = InfluenceEstimator(
         model, graph, config=InfluenceConfig(cg_iterations=preset.cg_iterations)
     )
@@ -147,7 +143,7 @@ def diagnostics_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Di
     graph = load_dataset(spec.dataset, seed=spec.seed, scale=preset.dataset_scale)
     settings = preset.method_settings(spec.dataset, seed=spec.seed)
     p, q = class_linking_probabilities(graph.adjacency, graph.labels)
-    model = _vanilla_model(spec, graph, settings, artifact_cache)
+    model = _vanilla_run(spec, graph, settings, artifact_cache).model
     posteriors = model.predict_proba(graph.features, graph.adjacency)
     return {
         "edge_homophily": edge_homophily(graph.adjacency, graph.labels),
@@ -162,9 +158,9 @@ def diagnostics_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Di
 def ablation_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Dict:
     """Figure 6 cell: the three PPFR ablation panels on one (dataset, model).
 
-    The panels share one vanilla model whose state is rewound between arms;
-    the model is therefore *never* taken from the artifact cache (fine-tuning
-    a shared cached model would corrupt it for other cells).
+    Every arm is :func:`fine_tune_method` over one vanilla phase, so each
+    fine-tunes its own copy of the vanilla snapshot (RNG state included)
+    and no arm depends on the arms run before it.
     """
     preset: ExperimentPreset = spec.preset
     overrides = dict(spec.overrides)
@@ -176,91 +172,45 @@ def ablation_cell(spec, artifact_cache: Optional[ArtifactCache] = None) -> Dict:
     similarity = graph_similarity(graph)
     attack = LinkStealingAttack(seed=settings.attack_seed)
 
-    from repro.gnn.models import build_model
+    vanilla = VanillaPhase(_vanilla_run(spec, graph, settings, artifact_cache), settings)
+    weights = vanilla.fairness_weights()
 
-    # Phase one: a single vanilla model shared by every ablation arm.
-    base_model = build_model(
-        spec.model,
-        in_features=graph.num_features,
-        num_classes=graph.num_classes,
-        hidden_features=preset.hidden_features,
-        rng=settings.model_seed,
-    )
-    trainer = Trainer(base_model, settings.train)
-    trainer.fit(graph)
-    base_state = base_model.state_dict()
-
-    weights = compute_fairness_weights(base_model, graph, config=settings.ppfr.reweighting)
-    fixed_perturbation = privacy_aware_perturbation(
-        base_model, graph, gamma=settings.ppfr.gamma, rng=settings.ppfr.seed
-    )
-
-    def evaluate(tag: str, serving_adjacency: np.ndarray, **extras) -> Dict:
-        run = MethodRun(
-            method=tag, model=base_model, graph=graph, serving_adjacency=serving_adjacency
+    def perturb(gamma: float):
+        return privacy_aware_perturbation(
+            vanilla.run.model, graph, gamma=gamma, rng=settings.ppfr.seed
         )
+
+    def evaluate(run: MethodRun, sweep_value: float) -> Dict:
         evaluation = evaluate_method(
             run, model_name=spec.model, similarity=similarity, attack=attack
         )
-        row = {
-            "panel": tag,
+        return {
+            "panel": run.method,
             "accuracy": evaluation.accuracy,
             "bias": evaluation.bias,
             "risk_auc": evaluation.risk_auc,
+            "sweep_value": sweep_value,
         }
-        row.update(extras)
-        return row
 
-    rows = [evaluate("vanilla", graph.adjacency, sweep_value=0.0)]
+    def epochs_of(fraction: float) -> int:
+        return max(1, int(round(fraction * settings.train.epochs)))
 
+    rows = [evaluate(vanilla.run, 0.0)]
     # Panel 1: FR only, sweep the number of fine-tuning epochs.
     for fraction in epoch_fractions:
-        base_model.load_state_dict(base_state)
-        epochs = max(1, int(round(fraction * settings.train.epochs)))
-        trainer.fine_tune(
-            graph,
-            epochs=epochs,
-            sample_weights=weights.loss_multipliers,
-            learning_rate_scale=settings.ppfr.fine_tune_lr_scale,
-        )
-        rows.append(evaluate("fr_epochs", graph.adjacency, sweep_value=float(epochs)))
-
+        epochs = epochs_of(fraction)
+        run = fine_tune_method("fr_epochs", vanilla, weights=weights, epochs=epochs)
+        rows.append(evaluate(run, float(epochs)))
     # Panel 2: PP + fixed FR, sweep the perturbation ratio γ.
-    fixed_epochs = settings.ppfr.fine_tune_epochs(settings.train.epochs)
     for gamma in gammas:
-        base_model.load_state_dict(base_state)
-        perturbation = privacy_aware_perturbation(
-            base_model, graph, gamma=gamma, rng=settings.ppfr.seed
-        )
-        trainer.fine_tune(
-            graph,
-            epochs=fixed_epochs,
-            sample_weights=weights.loss_multipliers,
-            adjacency_override=perturbation.perturbed_adjacency,
-            learning_rate_scale=settings.ppfr.fine_tune_lr_scale,
-        )
-        rows.append(
-            evaluate("pp_gamma", perturbation.perturbed_adjacency, sweep_value=float(gamma))
-        )
-
+        run = fine_tune_method("pp_gamma", vanilla, perturb(gamma).perturbed_adjacency, weights)
+        rows.append(evaluate(run, float(gamma)))
     # Panel 3: fixed PP + FR, sweep the number of fine-tuning epochs.
+    fixed_structure = perturb(settings.ppfr.gamma).perturbed_adjacency
     for fraction in epoch_fractions:
-        base_model.load_state_dict(base_state)
-        epochs = max(1, int(round(fraction * settings.train.epochs)))
-        trainer.fine_tune(
-            graph,
-            epochs=epochs,
-            sample_weights=weights.loss_multipliers,
-            adjacency_override=fixed_perturbation.perturbed_adjacency,
-            learning_rate_scale=settings.ppfr.fine_tune_lr_scale,
-        )
-        rows.append(
-            evaluate(
-                "ppfr_epochs", fixed_perturbation.perturbed_adjacency, sweep_value=float(epochs)
-            )
-        )
-
-    base_model.load_state_dict(base_state)
+        epochs = epochs_of(fraction)
+        run = fine_tune_method("ppfr_epochs", vanilla, fixed_structure, weights, epochs=epochs)
+        rows.append(evaluate(run, float(epochs)))
     return {"rows": rows, "model": spec.model}
 
 

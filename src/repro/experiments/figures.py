@@ -140,9 +140,9 @@ def figure6_ablation(
     * ``ppfr_epochs`` — fixed PP + FR, sweeping the epoch budget (right panel:
       risk stays near the vanilla level while bias falls).
 
-    The sweep is one ``ablation`` cell by construction: every arm rewinds and
-    fine-tunes the *same* vanilla model, so the panels share state and run as
-    a unit.
+    The sweep is one ``ablation`` cell: every arm fine-tunes its own copy of
+    one vanilla snapshot (parameters and RNG state) with the FR weights
+    derived from it once, so the arms share phase one and nothing else.
     """
     preset = _resolve(preset)
     model_name = model_name or ("gat" if "gat" in preset.models else preset.models[0])

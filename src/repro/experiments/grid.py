@@ -27,7 +27,7 @@ import contextvars
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GRID_EXECUTORS as EXECUTORS
@@ -93,9 +93,6 @@ class CellSpec:
         if backend is None:
             backend = get_backend_name()
         return f"cell:{backend}:{stable_hash(self)}"
-
-    def with_methods(self, methods: Sequence[str]) -> "CellSpec":
-        return replace(self, methods=tuple(methods))
 
 
 @dataclass

@@ -23,7 +23,7 @@ quadratic form) or the model has no sampled forward path (GAT).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -331,20 +331,13 @@ class Trainer:
         if learning_rate_scale <= 0:
             raise ValueError("learning_rate_scale must be positive")
         original_config = self.config
-        self.config = TrainConfig(
+        self.config = replace(
+            original_config,
             epochs=epochs,
             learning_rate=original_config.learning_rate * learning_rate_scale,
-            weight_decay=original_config.weight_decay,
-            optimizer=original_config.optimizer,
             patience=None,
             min_epochs=0,
             track_best=False,
-            verbose=original_config.verbose,
-            batch_size=original_config.batch_size,
-            fanouts=original_config.fanouts,
-            batch_seed=original_config.batch_seed,
-            eval_interval=original_config.eval_interval,
-            sampled_eval=original_config.sampled_eval,
         )
         try:
             return self.fit(

@@ -10,7 +10,7 @@ products with the per-node loss gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class InfluenceScores:
     utility: np.ndarray
     bias: np.ndarray
     risk: np.ndarray
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {"utility": self.utility, "bias": self.bias, "risk": self.risk}
 
 
 class InfluenceEstimator:

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 
 def relu(x: Tensor) -> Tensor:
@@ -125,8 +125,3 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def grad_enabled() -> bool:
-    """Expose the autodiff recording state (mostly for tests)."""
-    return is_grad_enabled()

@@ -8,7 +8,7 @@ convert between a module's parameter list and a single 1-D array.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -63,19 +63,3 @@ def zero_gradients(parameters: Iterable[Parameter]) -> None:
 def num_parameters(module: Module) -> int:
     """Total number of scalar trainable parameters in ``module``."""
     return int(sum(param.data.size for param in module.parameters()))
-
-
-def clone_parameter_values(module: Module) -> Sequence[np.ndarray]:
-    """Snapshot the parameter arrays of ``module`` (deep copies)."""
-    return [param.data.copy() for param in module.parameters()]
-
-
-def restore_parameter_values(module: Module, values: Sequence[np.ndarray]) -> None:
-    """Restore parameter arrays captured by :func:`clone_parameter_values`."""
-    params = module.parameters()
-    if len(params) != len(values):
-        raise ValueError("parameter count mismatch while restoring values")
-    for param, value in zip(params, values):
-        if param.data.shape != value.shape:
-            raise ValueError("parameter shape mismatch while restoring values")
-        param.data = value.copy()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import baselines
 from repro.core.baselines import run_dp_fr, run_dp_reg, run_fr_only, run_pp_only, run_reg, run_vanilla
 from repro.core.config import MethodSettings, PPFRConfig
 from repro.core.delta import DeltaReport, delta_report, relative_change
@@ -12,8 +13,10 @@ from repro.core.ppfr import run_ppfr
 from repro.core.results import MethodEvaluation, MethodRun, evaluate_method
 from repro.fairness.reweighting import FairnessReweightingConfig
 from repro.gnn.models import build_model
-from repro.gnn.trainer import TrainConfig
+from repro.gnn.trainer import TrainConfig, Trainer
+from repro.graphs.perturb import heterophilic_candidates
 from repro.influence.functions import InfluenceConfig
+from repro.utils.cache import ArtifactCache
 
 
 def fast_settings(seed=0, gamma=0.2):
@@ -84,6 +87,35 @@ class TestPerturbation:
     def test_negative_gamma_rejected(self, trained_gcn, tiny_graph):
         with pytest.raises(ValueError):
             privacy_aware_perturbation(trained_gcn, tiny_graph, gamma=-0.1)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 3.0])
+    def test_matches_per_node_reference(self, tiny_graph, gamma):
+        """One candidate pool per node, sampled in node order, as first written."""
+        predicted = np.random.default_rng(5).integers(0, 3, tiny_graph.num_nodes)
+        adjacency = tiny_graph.adjacency
+        reference = np.zeros_like(adjacency)
+        generator = np.random.default_rng(9)
+        for node in range(tiny_graph.num_nodes):
+            budget = int(round(gamma * int(np.count_nonzero(adjacency[node]))))
+            if budget <= 0:
+                continue
+            candidates = heterophilic_candidates(adjacency, predicted, node)
+            already = np.nonzero(reference[node])[0]
+            if already.size:
+                candidates = np.setdiff1d(candidates, already)
+            if candidates.size == 0:
+                continue
+            chosen = generator.choice(candidates, size=min(budget, candidates.size), replace=False)
+            reference[node, chosen] = reference[chosen, node] = 1.0
+
+        result = privacy_aware_perturbation(
+            None, tiny_graph, gamma=gamma, rng=9, predicted_labels=predicted
+        )
+        np.testing.assert_array_equal(result.delta_adjacency, reference)
+        np.testing.assert_array_equal(
+            result.perturbed_adjacency, np.clip(adjacency + reference, 0.0, 1.0)
+        )
+        assert result.num_added_edges == int(np.count_nonzero(np.triu(reference, k=1)))
 
     def test_accepts_precomputed_predictions(self, trained_gcn, tiny_graph):
         predicted = trained_gcn.predict_labels(tiny_graph.features, tiny_graph.adjacency)
@@ -218,6 +250,14 @@ class TestMethodRunners:
         assert run.train_result is None
         assert run.fine_tune_result is not None
 
+
+    def test_ppfr_skip_vanilla_leaves_the_given_model_untouched(self, trained_gcn, tiny_graph):
+        before = trained_gcn.state_dict()
+        run = run_ppfr(trained_gcn, tiny_graph, fast_settings(seed=3), skip_vanilla=True)
+        assert run.model is not trained_gcn
+        for name, value in trained_gcn.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_evaluate_method_requires_labels(self, trained_gcn, tiny_graph):
         unlabeled = tiny_graph.copy()
         unlabeled.labels = None
@@ -227,3 +267,87 @@ class TestMethodRunners:
         )
         with pytest.raises(ValueError):
             evaluate_method(run)
+
+
+def _rng_states(model):
+    """Bit-generator state of every RNG the model holds (Dropout, GraphSAGE sampler)."""
+    return [
+        value.bit_generator.state
+        for module in model.modules()
+        for value in vars(module).values()
+        if isinstance(value, np.random.Generator)
+    ]
+
+
+def _assert_runs_equal(shared, alone):
+    assert shared.method == alone.method
+    for name, value in alone.model.state_dict().items():
+        np.testing.assert_array_equal(shared.model.state_dict()[name], value)
+    assert _rng_states(shared.model) == _rng_states(alone.model)
+    np.testing.assert_array_equal(shared.serving_adjacency, alone.serving_adjacency)
+    assert shared.train_result.history == alone.train_result.history
+    assert shared.fine_tune_result.history == alone.fine_tune_result.history
+    np.testing.assert_array_equal(
+        shared.extras["fairness_weights"].loss_multipliers,
+        alone.extras["fairness_weights"].loss_multipliers,
+    )
+
+
+class TestSharedVanillaPhase:
+    """The fine-tune methods of one cell share its vanilla run and FR weights."""
+
+    @pytest.fixture(scope="class", params=["gcn", "graphsage"])
+    def model_name(self, request):
+        return request.param
+
+    def test_one_vanilla_fit_and_one_weights_computation(self, tiny_graph, monkeypatch):
+        calls = {"fit": 0, "fine_tune": 0, "weights": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Trainer, "fit", counting("fit", Trainer.fit))
+        monkeypatch.setattr(Trainer, "fine_tune", counting("fine_tune", Trainer.fine_tune))
+        monkeypatch.setattr(
+            baselines,
+            "compute_fairness_weights",
+            counting("weights", baselines.compute_fairness_weights),
+        )
+        run_all_methods(
+            tiny_graph, "gcn", fast_settings(), methods=["dpfr", "ppfr"], hidden_features=8
+        )
+        # Each fine-tune runs one inner fit; the rest is the one vanilla fit.
+        assert calls == {"fit": 3, "fine_tune": 2, "weights": 1}
+
+    def test_shared_runs_equal_standalone_runs_bitwise(self, tiny_graph, model_name):
+        settings = fast_settings()
+        outcome = run_all_methods(
+            tiny_graph, model_name, settings, methods=["dpfr", "ppfr"], hidden_features=8
+        )
+        runs = outcome["runs"]
+        assert runs["dpfr"].extras["fairness_weights"] is runs["ppfr"].extras["fairness_weights"]
+        for method in ("dpfr", "ppfr"):
+            alone = run_method(method, model_name, tiny_graph, settings, hidden_features=8)
+            _assert_runs_equal(runs[method], alone)
+
+    def test_cached_vanilla_run_is_read_only(self, tiny_graph, model_name):
+        settings = fast_settings()
+        cache = ArtifactCache()
+        first = run_all_methods(
+            tiny_graph, model_name, settings, methods=[], hidden_features=8,
+            artifact_cache=cache, cache_key="cell",
+        )
+        vanilla = first["runs"]["vanilla"].model
+        parameters, rng_states = vanilla.state_dict(), _rng_states(vanilla)
+        second = run_all_methods(
+            tiny_graph, model_name, settings, methods=["dpfr", "ppfr", "fr", "pp"],
+            hidden_features=8, artifact_cache=cache, cache_key="cell",
+        )
+        assert second["runs"]["vanilla"].model is vanilla
+        for name, value in vanilla.state_dict().items():
+            np.testing.assert_array_equal(value, parameters[name])
+        assert _rng_states(vanilla) == rng_states

@@ -125,6 +125,17 @@ class TestExperimentsRun:
         for row in result.rows:
             assert np.isfinite(row["delta_combined"])
 
+    def test_figure6_arms_do_not_depend_on_earlier_arms(self):
+        """Each ablation arm fine-tunes its own copy of the vanilla snapshot."""
+
+        def pp_gamma_rows(epoch_fractions):
+            result = figures.figure6_ablation(
+                SMALL_PRESET, seed=0, epoch_fractions=epoch_fractions, gammas=(0.1, 0.3)
+            )
+            return [row for row in result.rows if row["panel"] == "pp_gamma"]
+
+        assert pp_gamma_rows((0.1, 0.2, 0.3, 0.5)) == pp_gamma_rows((0.2,))
+
     def test_run_experiment_dispatch(self):
         result = run_experiment("table3", preset=SMALL_PRESET, datasets=["cora"])
         assert result.experiment == "table3_accuracy_bias"
