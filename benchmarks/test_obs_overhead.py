@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datasets.synthetic import generate_scaling_graph
 from repro.gnn.models import build_model
-from repro.obs.trace import NULL_SPAN, Tracer, span, use_tracer, use_tracing
+from repro.obs.trace import NULL_SPAN, Tracer, span, use_telemetry, use_tracer
 from repro.serve import GraphSession, InferenceEngine, RequestBatcher
 
 NUM_NODES = 400
@@ -61,7 +61,7 @@ def _serving_stack():
 
 
 def test_disabled_span_is_noop_singleton():
-    with use_tracing(False):
+    with use_telemetry(spans=False):
         assert span("engine.predict") is NULL_SPAN
 
 
@@ -70,7 +70,7 @@ def test_disabled_overhead_within_budget():
     batcher = RequestBatcher(engine, max_batch_size=BATCH)
     nodes = np.arange(BATCH)
 
-    with use_tracing(False):
+    with use_telemetry(spans=False):
         # Warm the logit cache and the fused plan.
         for node in nodes:
             batcher.submit(int(node))
@@ -109,7 +109,7 @@ def test_disabled_overhead_within_budget():
 def test_enabled_tracing_records_the_request():
     engine = _serving_stack()
     tracer = Tracer()
-    with use_tracer(tracer), use_tracing(True):
+    with use_tracer(tracer), use_telemetry(spans=True):
         batcher = RequestBatcher(engine, max_batch_size=8)
         future = batcher.submit(0)
         batcher.flush()

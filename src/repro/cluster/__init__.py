@@ -3,8 +3,8 @@
 The single-process :class:`~repro.serve.engine.InferenceEngine` computes
 every cache miss under one GIL.  This package scales it across processes:
 
-* :mod:`repro.cluster.partition` — hash / degree-balanced greedy node
-  ownership, which decides the shard that answers and caches each node;
+* :mod:`repro.cluster.partition` — hash node ownership, which decides the
+  shard that answers and caches each node;
 * :mod:`repro.cluster.worker` — one full-graph ``GraphSession`` +
   ``InferenceEngine`` replica per shard, in-process or behind a
   child-process command pipe, parameters loaded from the shared
@@ -18,7 +18,7 @@ every cache miss under one GIL.  This package scales it across processes:
 a worker cluster.
 """
 
-from repro.cluster.partition import PARTITION_STRATEGIES, assign_owners
+from repro.cluster.partition import assign_owners
 from repro.cluster.router import ClusterStats, ShardRouter
 from repro.cluster.worker import (
     ClusterWorkerError,
@@ -30,7 +30,6 @@ from repro.cluster.worker import (
 )
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "assign_owners",
     "ClusterStats",
     "ShardRouter",

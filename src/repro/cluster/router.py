@@ -48,10 +48,9 @@ from repro.cluster.worker import (
     WorkerInit,
 )
 from repro.obs.metrics import merge_histogram_states
-from repro.obs.profile import profiling_enabled
 from repro.obs.trace import NULL_SPAN
 from repro.obs.trace import span as obs_span
-from repro.obs.trace import tracing_enabled
+from repro.obs.trace import telemetry
 # Unused here; perfbench's tracer wraps ``router.khop_frontier`` by name.
 from repro.graphs.khop import khop_frontier  # noqa: F401
 from repro.serve.engine import ServeConfig, softmax_rows
@@ -130,7 +129,7 @@ class ShardRouter:
         model,
         session: GraphSession,
         num_shards: int,
-        strategy: str = "greedy",
+        strategy: str = "hash",
         config: Optional[ServeConfig] = None,
         workers: str = "process",
         model_ref: Optional[Tuple[str, str, Optional[int]]] = None,
@@ -147,6 +146,7 @@ class ShardRouter:
         self._closed = False
 
         backend = get_backend_name()
+        state = telemetry()
         inits = []
         for shard in range(num_shards):
             init = WorkerInit(
@@ -157,8 +157,7 @@ class ShardRouter:
                 config=self.config,
                 backend=backend,
                 base_version=session.version,
-                telemetry=tracing_enabled(),
-                profile=profiling_enabled(),
+                telemetry=state,
             )
             if model_ref is not None:
                 init.registry_root, init.model_name, init.model_version = model_ref

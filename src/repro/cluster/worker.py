@@ -39,8 +39,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.obs.metrics import active_metrics, next_instance
-from repro.obs.profile import active_profiler, set_profiling
-from repro.obs.trace import adopt, get_tracer, set_tracing
+from repro.obs.profile import active_profiler
+from repro.obs.trace import Telemetry, adopt, get_tracer, set_telemetry
 from repro.obs.trace import span as obs_span
 from repro.serve.engine import InferenceEngine, ServeConfig
 from repro.serve.session import GraphSession
@@ -191,14 +191,10 @@ class WorkerInit:
     """The primary session's mutation counter at router construction: replica
     sessions start from it so sampling keys (and the router's drift check)
     stay aligned even when the global session had pre-router history."""
-    telemetry: bool = False
-    """Captured from :func:`repro.obs.trace.tracing_enabled` at router
+    telemetry: Telemetry = Telemetry()
+    """Captured from :func:`repro.obs.trace.telemetry` at router
     construction: a child process does not inherit the parent's contextvars,
-    so the flag travels with the init payload."""
-    profile: bool = False
-    """Captured from :func:`repro.obs.profile.profiling_enabled` at router
-    construction, for the same reason — kernel profiling must be switched on
-    inside the child process itself."""
+    so the state travels with the init payload."""
 
 
 def _load_model(init: WorkerInit):
@@ -415,10 +411,7 @@ def _worker_main(
     from repro.sparse.backend import use_backend
 
     _single_thread_blas()
-    if init.telemetry:
-        set_tracing(True)
-    if init.profile:
-        set_profiling(True)
+    set_telemetry(spans=init.telemetry.spans, kernels=init.telemetry.kernels)
     scope = use_backend(init.backend) if init.backend else nullcontext()
     with scope:
         try:

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.gnn.sampling import SampledBlock, block_propagation
 from repro.obs.profile import active_profiler
+from repro.obs.trace import kernel
 from repro.obs.trace import span as obs_span
 from repro.sparse.csr import CSRMatrix
 
@@ -258,7 +259,7 @@ class InferencePlan:
     ``ops`` is the ordered kernel tuple; ``kinds`` the per-message-passing-
     layer propagation normalisation (consumed by :func:`pack_blocks`).
     Replay is pure NumPy: the only per-kernel dispatch is one tuple unpack
-    and one branch.
+    and one call of :func:`_run_op`.
     """
 
     __slots__ = ("ops", "kinds")
@@ -310,62 +311,69 @@ class InferencePlan:
             np.asarray(features, dtype=np.float64), packed.src_gather, axis=0
         )
         profiler = active_profiler()
-        frame = x_in = None
         for op, payload in self.ops:
-            if profiler is not None:
-                frame = profiler.begin()
-                x_in = x
-            if op == "matmul":
-                out = (
-                    pool.take(x.shape[0], payload.shape[1])
-                    if pool is not None
-                    else None
-                )
-                if out is None:
-                    x = x @ payload
-                else:
-                    x = np.matmul(x, payload, out=out)
-            elif op == "prop":
-                matrix = packed.layers[payload].matrix
-                if isinstance(matrix, CSRMatrix):
-                    x = matrix.matmul_dense(x)
-                else:
-                    x = matrix @ x
-            elif op == "bias":
-                x = np.add(x, payload, out=x)
-            elif op == "relu":
-                # Matches Tensor.relu (x * (x > 0)) bit-for-bit.
-                x = np.multiply(x, x > 0, out=x)
-            elif op == "normalize":
-                eps = payload
-                norm = ((x * x).sum(axis=1, keepdims=True) + eps * eps) ** 0.5
-                x = x / (norm + eps)
-            elif op == "sage":
-                layer_index, w_self, w_neigh, bias = payload
-                layer = packed.layers[layer_index]
-                aggregated = (
-                    layer.matrix.matmul_dense(x)
-                    if isinstance(layer.matrix, CSRMatrix)
-                    else layer.matrix @ x
-                )
-                x = x[: layer.num_dst] @ w_self + aggregated @ w_neigh
-                if bias is not None:
-                    x = np.add(x, bias, out=x)
-            else:  # pragma: no cover - recorder emits only the kinds above
-                raise ValueError(f"unknown plan op {op!r}")
-            if profiler is not None:
-                if op == "matmul":
-                    est_args = (x_in, payload)
-                elif op in ("prop", "sage"):
-                    # CSR propagation fires the nested spmm hook, which
-                    # already carries the flops — don't double count.
-                    index = payload if op == "prop" else payload[0]
-                    matrix = packed.layers[index].matrix
-                    est_args = () if isinstance(matrix, CSRMatrix) else (matrix, x_in)
-                else:
-                    est_args = (x_in,)
-                profiler.end(frame, "plan." + op, est_args, x)
+            if profiler is None:
+                x = _run_op(op, payload, x, packed, pool)
+            else:
+                cost_args = _cost_args(op, payload, x, packed)
+                with kernel("plan." + op, profiler, cost_args) as event:
+                    x = event.out = _run_op(op, payload, x, packed, pool)
         return x
+
+
+def _run_op(
+    op: str,
+    payload,
+    x: np.ndarray,
+    packed: PackedBatch,
+    pool: Optional[BufferPool],
+) -> np.ndarray:
+    """One replayed kernel: ``x`` in, the next activation out."""
+    if op == "matmul":
+        out = pool.take(x.shape[0], payload.shape[1]) if pool is not None else None
+        if out is None:
+            return x @ payload
+        return np.matmul(x, payload, out=out)
+    if op == "prop":
+        matrix = packed.layers[payload].matrix
+        if isinstance(matrix, CSRMatrix):
+            return matrix.matmul_dense(x)
+        return matrix @ x
+    if op == "bias":
+        return np.add(x, payload, out=x)
+    if op == "relu":
+        # Matches Tensor.relu (x * (x > 0)) bit-for-bit.
+        return np.multiply(x, x > 0, out=x)
+    if op == "normalize":
+        eps = payload
+        norm = ((x * x).sum(axis=1, keepdims=True) + eps * eps) ** 0.5
+        return x / (norm + eps)
+    if op == "sage":
+        layer_index, w_self, w_neigh, bias = payload
+        layer = packed.layers[layer_index]
+        aggregated = (
+            layer.matrix.matmul_dense(x)
+            if isinstance(layer.matrix, CSRMatrix)
+            else layer.matrix @ x
+        )
+        x = x[: layer.num_dst] @ w_self + aggregated @ w_neigh
+        if bias is not None:
+            x = np.add(x, bias, out=x)
+        return x
+    # The recorder emits only the kinds above.
+    raise ValueError(f"unknown plan op {op!r}")  # pragma: no cover
+
+
+def _cost_args(op: str, payload, x: np.ndarray, packed: PackedBatch) -> tuple:
+    """Operands of one replayed kernel's flop/byte estimate."""
+    if op == "matmul":
+        return (x, payload)
+    if op in ("prop", "sage"):
+        # CSR propagation fires the nested spmm kernel, which already
+        # carries the flops — don't double count.
+        matrix = packed.layers[payload if op == "prop" else payload[0]].matrix
+        return () if isinstance(matrix, CSRMatrix) else (matrix, x)
+    return (x,)
 
 
 # --------------------------------------------------------------------------- #

@@ -132,6 +132,7 @@ STATS = GraphStats()
 # snapshots and the CLI still see it alongside every other metric.
 from repro.obs.metrics import register_collector as _register_collector
 from repro.obs.profile import active_profiler as _active_profiler
+from repro.obs.trace import kernel as _kernel
 
 _register_collector("autodiff.tape", STATS.snapshot)
 
@@ -404,15 +405,11 @@ def backward(root, seed: np.ndarray) -> None:
                     argnum, g, tensor.data, node.args, node.kwargs
                 )
             else:
-                frame = profiler.begin()
-                contribution = None
-                try:
-                    contribution = node.prim.vjp(
+                with _kernel(
+                    "vjp." + node.prim.name, profiler, node.args
+                ) as event:
+                    contribution = event.out = node.prim.vjp(
                         argnum, g, tensor.data, node.args, node.kwargs
-                    )
-                finally:
-                    profiler.end(
-                        frame, "vjp." + node.prim.name, node.args, contribution
                     )
             parent_acc = accumulator_for(parent)
             if isinstance(contribution, SparseGrad):

@@ -33,6 +33,7 @@ from repro.nn.autodiff import (
     unbroadcast,
 )
 from repro.obs.profile import active_profiler
+from repro.obs.trace import kernel
 
 __all__ = [
     "Tensor",
@@ -282,12 +283,8 @@ def apply_primitive(prim, *args, **kwargs) -> Tensor:
     if profiler is None:
         data = prim.fn(*raw, **kwargs)
     else:
-        frame = profiler.begin()
-        data = None
-        try:
-            data = prim.fn(*raw, **kwargs)
-        finally:
-            profiler.end(frame, "nn." + prim.name, raw, data)
+        with kernel("nn." + prim.name, profiler, raw) as event:
+            data = event.out = prim.fn(*raw, **kwargs)
     out = Tensor(data)
     if is_grad_enabled():
         parents = tuple(
@@ -327,7 +324,15 @@ def _pow_vjp(g, ans, x, exponent):
         # d(x^0)/dx ≡ 0 everywhere; the naive formula evaluates 0 * x**-1,
         # which is NaN at x = 0.
         return np.zeros_like(g)
-    return g * exponent * x ** (exponent - 1)
+    if exponent >= 1 or not (x == 0).any():
+        return g * exponent * x ** (exponent - 1)
+    # x**(exponent - 1) is inf at x = 0.  Where no gradient flows in
+    # (g == 0, e.g. into the norm of an all-zero row in normalize_rows)
+    # the product 0 · inf is taken as 0 rather than NaN; every finite
+    # entry is the naive formula's, bit for bit.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = g * exponent * x ** (exponent - 1)
+    return np.where((g == 0) & np.isnan(grad), 0.0, grad)
 
 
 _pow = primitive("pow", lambda x, exponent: x**exponent)

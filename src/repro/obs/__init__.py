@@ -1,4 +1,4 @@
-"""End-to-end telemetry: metrics registry, request tracing, SLO surfaces.
+"""End-to-end telemetry: metrics registry, one event core, SLO surfaces.
 
 The serving system's paper-level metrics (latency percentiles, staleness,
 cache behaviour) become *operational* here:
@@ -9,15 +9,19 @@ cache behaviour) become *operational* here:
   (``BatcherStats``, ``LogitCacheStats``, ``ClusterStats``,
   ``OperatorCacheStats``, ``CacheStats``, the autodiff tape's
   ``GraphStats``) is now a thin view over it;
-* :mod:`repro.obs.trace` — request-scoped spans that propagate from
+* :mod:`repro.obs.trace` — the telemetry core: one :class:`Telemetry`
+  state of which event kinds are on (request/stage *spans*, *kernels*),
+  set by :func:`set_telemetry` or scoped by :func:`use_telemetry`, and one
+  event record, :class:`Span`.  Request spans propagate from
   ``RequestBatcher.submit`` through the engine and the shard router's
-  worker command pipes into child processes and stitch back into one trace
-  tree, with queue-wait, IPC and compute time separated.  Disabled by
-  default and near-free when off (``REPRO_TELEMETRY=1`` or
-  :func:`set_tracing` turns it on);
+  worker pipes into child processes and stitch back into one trace tree.
+  Off by default and near-free when off;
+* :mod:`repro.obs.profile` — the kernel table kernel events fold into,
+  memory high-water marks and the ``repro.obs top`` renderer;
 * :mod:`repro.obs.snapshot` — structured JSON snapshot emission consumed by
-  the ``python -m repro.obs`` CLI (``dump`` / ``watch`` / ``trace <id>``)
-  and the serving benchmark's ``--slo`` pass/fail check.
+  the ``python -m repro.obs`` CLI (``dump`` / ``watch`` / ``trace <id>`` /
+  ``top`` / ``export --chrome``) and the serving benchmark's ``--slo``
+  pass/fail check.
 """
 
 from repro.obs.metrics import (
@@ -44,25 +48,24 @@ from repro.obs.profile import (
     estimate_flops_bytes,
     format_top,
     global_profiler,
-    profiling_enabled,
-    set_profiling,
     use_profiler,
-    use_profiling,
 )
 from repro.obs.slo import check_slo, format_slo, parse_slo
 from repro.obs.trace import (
     Span,
     SpanContext,
+    Telemetry,
     Tracer,
     adopt,
     current_context,
     get_tracer,
+    kernel,
     render_trace,
-    set_tracing,
+    set_telemetry,
     span,
     start_trace,
-    tracing_enabled,
-    use_tracing,
+    telemetry,
+    use_telemetry,
 )
 
 __all__ = [
@@ -87,23 +90,22 @@ __all__ = [
     "estimate_flops_bytes",
     "format_top",
     "global_profiler",
-    "profiling_enabled",
-    "set_profiling",
     "use_profiler",
-    "use_profiling",
     "collect_traces",
     "spans_to_chrome",
     "write_chrome_trace",
     "Span",
     "SpanContext",
+    "Telemetry",
     "Tracer",
     "adopt",
     "current_context",
     "get_tracer",
+    "kernel",
     "render_trace",
-    "set_tracing",
+    "set_telemetry",
     "span",
     "start_trace",
-    "tracing_enabled",
-    "use_tracing",
+    "telemetry",
+    "use_telemetry",
 ]

@@ -64,7 +64,7 @@ def spans_to_chrome(
             events.append(
                 {
                     "name": name,
-                    "cat": "kernel" if name.startswith("kernel.") else "stage",
+                    "cat": span.get("kind", "stage"),
                     "ph": "X",
                     "ts": float(span.get("start", 0.0)) * 1e6,
                     "dur": max(float(span.get("duration", 0.0)), 0.0) * 1e6,

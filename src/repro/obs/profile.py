@@ -1,119 +1,62 @@
-"""Op-level kernel profiler: wall time, flops/bytes, memory high-water marks.
+"""Op-level kernel table: wall time, flops/bytes, memory high-water marks.
 
-PR 9's spans bottom out at coarse stages (``engine.predict``,
-``plan.replay``); this module descends one level further, to the *kernels*
-those stages dispatch.  It hooks the three choke points the codebase already
-funnels every FLOP through:
+Kernel events of the telemetry core (:func:`repro.obs.trace.kernel`) go one
+level below the request spans, to the ops they dispatch.  Three choke
+points open them: ``apply_primitive`` in :mod:`repro.nn.tensor` (every
+dense forward op, and via :mod:`repro.nn.autodiff` every VJP),
+``CSRMatrix.matmul_dense`` in :mod:`repro.sparse.csr` (spmm/spmv), and each
+op replayed by :class:`repro.gnn.plan.InferencePlan`.
 
-* ``apply_primitive`` in :mod:`repro.nn.tensor` — every dense forward op and
-  (via the backward engine's VJP fire) every gradient op;
-* ``CSRMatrix.matmul_dense`` in :mod:`repro.sparse.csr` — the spmm/spmv
-  kernels, whichever layer calls them;
-* each fused op replayed by :class:`repro.gnn.plan.InferencePlan`.
-
-Per kernel it records call counts, cumulative and *self* wall time (child
-kernel time is subtracted through a per-thread frame stack, so ``plan.prop``
-does not double-count the ``spmm`` it contains), operand shapes, and
-roofline-style flop/byte estimates from the registered per-primitive
-estimators.  Allocation high-water marks (autodiff tape, plan
-``BufferPool``) flow into the active :class:`~repro.obs.metrics
-.MetricsRegistry` as ``profile.mem.*`` gauges, and the aggregate table is
-exposed as the ``profile.kernels`` snapshot collector.
-
-When request tracing is also enabled, every kernel invocation under an open
-span additionally records a ``kernel.<name>`` span into the tracer — so the
-existing cross-process shipping (worker replies carry drained spans) gives
-one request → batcher → shard → kernel timeline for free, exportable as a
-Chrome trace via :mod:`repro.obs.chrome`.
-
-The disabled path is a single ContextVar read returning ``None`` — the same
-budget discipline as :func:`repro.obs.trace.span`, pinned by
-``benchmarks/test_obs_overhead.py``.
+A finished event folds into a :class:`KernelProfiler` table: call counts,
+cumulative and *self* wall time (nested kernels subtracted, so
+``plan.prop`` does not double-count its ``spmm``), operand shapes and
+roofline-style flop/byte estimates.  Allocation high-water marks (autodiff
+tape, plan ``BufferPool``) flow into the active
+:class:`~repro.obs.metrics.MetricsRegistry` as ``profile.mem.*`` gauges,
+and the table is the ``profile.kernels`` snapshot collector.  With kernels
+off, :func:`active_profiler` is ``None`` after one ContextVar read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import threading
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.obs import trace as _trace
 from repro.obs.metrics import active_metrics, register_collector
+from repro.obs.trace import Span, kernel, telemetry, use_telemetry
 
 __all__ = [
     "KernelProfiler",
     "active_profiler",
     "global_profiler",
-    "profiling_enabled",
-    "set_profiling",
-    "use_profiling",
     "use_profiler",
     "estimate_flops_bytes",
-    "register_estimator",
     "format_top",
 ]
-
-_ENV_FLAG = os.environ.get("REPRO_PROFILE", "").strip().lower()
-
-# Mirrors repro.obs.trace: a module-global default (visible to background
-# threads and freshly spawned contexts) plus a context-local override.
-_DEFAULT_ENABLED = _ENV_FLAG in ("1", "true", "on", "yes")
-
-_ENABLED: contextvars.ContextVar[Optional[bool]] = contextvars.ContextVar(
-    "repro_profiling_override", default=None
-)
 
 _ACTIVE: contextvars.ContextVar[Optional["KernelProfiler"]] = contextvars.ContextVar(
     "repro_profiler", default=None
 )
 
 
-def profiling_enabled() -> bool:
-    """Whether kernel profiling is on in the current context."""
-    override = _ENABLED.get()
-    return _DEFAULT_ENABLED if override is None else override
-
-
-def set_profiling(enabled: bool) -> None:
-    """Turn kernel profiling on/off process-wide (CLI ``--profile``)."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def use_profiling(enabled: bool) -> Iterator[None]:
-    """Scope profiling on/off (tests, benchmark legs)."""
-    token = _ENABLED.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _ENABLED.reset(token)
-
-
 @contextlib.contextmanager
 def use_profiler(profiler: Optional["KernelProfiler"]) -> Iterator["KernelProfiler"]:
-    """Scope a profiler instance *and* enable profiling (test isolation)."""
+    """Scope a profiler instance *and* turn kernels on (test isolation)."""
     token = _ACTIVE.set(profiler)
-    flag = _ENABLED.set(True)
     try:
-        yield profiler or _GLOBAL
+        with use_telemetry(kernels=True):
+            yield profiler or _GLOBAL
     finally:
-        _ENABLED.reset(flag)
         _ACTIVE.reset(token)
 
 
 def active_profiler() -> Optional["KernelProfiler"]:
-    """THE hot-path gate: ``None`` when profiling is off.
-
-    Hook sites call this once, branch on ``None``, and only then pay for
-    frames/estimators — so the disabled cost is one ContextVar read plus a
-    comparison, identical in shape to the span fast path.
-    """
-    override = _ENABLED.get()
-    if not (_DEFAULT_ENABLED if override is None else override):
+    """THE hot-path gate: ``None`` when kernels are off.  Hook sites branch
+    on it before opening a kernel event, so the off cost is one ContextVar
+    read plus a comparison, like the span fast path."""
+    if not telemetry().kernels:
         return None
     return _ACTIVE.get() or _GLOBAL
 
@@ -189,13 +132,6 @@ _ESTIMATORS: Dict[str, Callable[[tuple, object], Tuple[int, int]]] = {
 }
 
 
-def register_estimator(
-    name: str, estimator: Callable[[tuple, object], Tuple[int, int]]
-) -> None:
-    """Register/replace the flop-byte estimator for a canonical kernel."""
-    _ESTIMATORS[name] = estimator
-
-
 def _canonical(name: str) -> str:
     """Strip the dispatch-layer prefix: ``nn.matmul``/``vjp.matmul`` and the
     plan's ``plan.matmul`` all share the matmul cost model."""
@@ -216,17 +152,6 @@ def estimate_flops_bytes(name: str, args: tuple, out) -> Tuple[int, int]:
 # ---------------------------------------------------------------------- #
 # Profiler
 # ---------------------------------------------------------------------- #
-class _Frame:
-    """Open kernel invocation on the per-thread stack."""
-
-    __slots__ = ("t0", "start", "child")
-
-    def __init__(self) -> None:
-        self.t0 = time.perf_counter()
-        self.start = time.time()
-        self.child = 0.0
-
-
 class _OpStat:
     __slots__ = ("calls", "cum_s", "self_s", "flops", "bytes", "shapes")
 
@@ -253,46 +178,23 @@ _MAX_SHAPE_SIGS = 8
 
 
 class KernelProfiler:
-    """Aggregating op-level profiler with a per-thread frame stack.
+    """Aggregating op-level kernel table.
 
-    ``begin()``/``end()`` bracket one kernel call; nesting is tracked so
-    self-time excludes child kernels.  Thread-safe: the aggregate table is
-    lock-guarded, the frame stack is thread-local.
+    Kernel events of the telemetry core fold into it when they finish.
+    Thread-safe: the table and the memory marks are lock-guarded.
     """
 
-    def __init__(self, name: str = "profile") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ops: Dict[str, _OpStat] = {}
         self._mem: Dict[str, int] = {}
         self._tape_bytes = 0
-        self._local = threading.local()
 
-    # ------------------------------------------------------------------ #
-    # Hot path
-    # ------------------------------------------------------------------ #
-    def _stack(self) -> List[_Frame]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def begin(self) -> _Frame:
-        frame = _Frame()
-        self._stack().append(frame)
-        return frame
-
-    def end(self, frame: _Frame, name: str, args: tuple = (), out=None) -> None:
-        duration = time.perf_counter() - frame.t0
-        stack = self._stack()
-        if stack and stack[-1] is frame:
-            stack.pop()
-        if stack:
-            stack[-1].child += duration
-        self_s = duration - frame.child
-        if self_s < 0.0:
-            self_s = 0.0
+    def fold(
+        self, name: str, cum_s: float, self_s: float, args: tuple, out
+    ) -> Tuple[str, int, int]:
+        """Add one finished kernel call; returns its ``(shapes, flops,
+        bytes)`` for the kernel span."""
         flops, moved = estimate_flops_bytes(name, args, out)
         sig = ",".join(
             "x".join(str(d) for d in s)
@@ -304,50 +206,18 @@ class KernelProfiler:
             if stat is None:
                 stat = self._ops[name] = _OpStat()
             stat.calls += 1
-            stat.cum_s += duration
+            stat.cum_s += cum_s
             stat.self_s += self_s
             stat.flops += flops
             stat.bytes += moved
             if sig and (sig in stat.shapes or len(stat.shapes) < _MAX_SHAPE_SIGS):
                 stat.shapes[sig] = stat.shapes.get(sig, 0) + 1
-        self._emit_event(name, frame.start, duration, sig, flops, moved)
+        return sig, flops, moved
 
-    def _emit_event(
-        self, name: str, start: float, duration: float, sig: str, flops: int, moved: int
-    ) -> None:
-        """Record a ``kernel.<name>`` span under the current request span.
-
-        Only fires when tracing is on *and* a span is open — kernel events
-        exist to deepen request timelines, not to flood the tracer during
-        untraced training loops.  They ride the existing worker-reply span
-        shipping, so cross-process stitching needs no new plumbing.
-        """
-        if not _trace.tracing_enabled():
-            return
-        current = _trace._CURRENT.get()
-        if current is None:
-            return
-        _trace.get_tracer()._record(
-            {
-                "trace": current[0],
-                "span": _trace._new_id(),
-                "parent": current[1],
-                "name": f"kernel.{name}",
-                "pid": os.getpid(),
-                "start": start,
-                "duration": duration,
-                "attrs": {"shapes": sig, "flops": flops, "bytes": moved},
-            }
-        )
-
-    @contextlib.contextmanager
-    def kernel(self, name: str, args: tuple = ()) -> Iterator[None]:
-        """Context-manager form for call sites that are not dispatch-hot."""
-        frame = self.begin()
-        try:
-            yield
-        finally:
-            self.end(frame, name, args)
+    def kernel(self, name: str, args: tuple = ()) -> Span:
+        """A kernel event folding into this table (``with`` form, for call
+        sites that are not dispatch-hot)."""
+        return kernel(name, self, args)
 
     # ------------------------------------------------------------------ #
     # Memory high-water marks
@@ -414,19 +284,13 @@ class KernelProfiler:
     def snapshot(self) -> Dict[str, object]:
         """Collector payload for metric snapshots."""
         return {
-            "enabled": profiling_enabled(),
+            "enabled": telemetry().kernels,
             "ops": self.table(),
             "memory": self.memory_marks(),
         }
 
-    def reset(self) -> None:
-        with self._lock:
-            self._ops.clear()
-            self._mem.clear()
-            self._tape_bytes = 0
 
-
-_GLOBAL = KernelProfiler("global")
+_GLOBAL = KernelProfiler()
 
 # The snapshot collector reflects whichever profiler is active in the
 # emitting context (scoped in tests, the process-global one in CLI runs).

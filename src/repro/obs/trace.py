@@ -1,19 +1,23 @@
-"""Request-scoped tracing with cross-process span stitching.
+"""The telemetry core: one on/off state and one event record.
 
 One serving request touches many layers — batcher queue, engine cache,
-fused-plan replay, router fan-out, worker processes — and a slow p99 is
-useless without knowing *which* stage on *which* shard ate the time.  This
-module provides the span machinery those layers share:
+fused-plan replay, router fan-out, worker processes, the kernels they
+dispatch — and a slow p99 is useless without knowing *which* stage on
+*which* shard ate the time.  This module is what those layers share:
 
-* :func:`span` — the single hot-path call site.  When tracing is disabled
-  (the default) it performs one :class:`contextvars.ContextVar` read and
-  returns a shared no-op singleton, so instrumentation stays in the code at
-  near-zero cost (pinned ≤ 2% of the warm-cache serving leg by
-  ``benchmarks/test_obs_overhead.py``);
-* :class:`Span` — context manager *and* manually finishable record
-  (``finish()``), so a span can be opened on the submit thread and closed on
-  the drain thread.  Spans nest through a ContextVar holding the current
-  ``(trace_id, span_id)``;
+* :class:`Telemetry` — which event kinds are on: request/stage *spans*
+  (``REPRO_TELEMETRY``) and *kernels* (``REPRO_PROFILE``).  One process
+  default, one context-local override, one setter (:func:`set_telemetry`)
+  and one scope (:func:`use_telemetry`);
+* :class:`Span` — the one event record, of kind request, stage or kernel.
+  The hot-path call sites :func:`span` and :func:`start_trace` cost one
+  :class:`contextvars.ContextVar` read when spans are off, returning a
+  shared no-op singleton (pinned ≤ 2% of the warm-cache serving leg by
+  ``benchmarks/test_obs_overhead.py``).  A span is a context manager *and*
+  manually finishable, so a request can be closed on the drain thread.
+  Events nest through a ContextVar holding the current one.  A
+  :func:`kernel` event folds into a :mod:`repro.obs.profile` kernel table
+  and becomes a ``kernel.<name>`` span when spans are on and one is open;
 * :class:`SpanContext` — the propagation token.  The router attaches
   :func:`current_context` to every worker command; the child process adopts
   it with :func:`adopt`, records its spans locally (queue/IPC wait derived
@@ -37,43 +41,90 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
+    "Telemetry",
     "SpanContext",
     "Span",
     "Tracer",
-    "tracing_enabled",
-    "set_tracing",
-    "use_tracing",
+    "telemetry",
+    "set_telemetry",
+    "use_telemetry",
     "span",
     "start_trace",
+    "kernel",
     "current_context",
     "adopt",
     "get_tracer",
     "render_trace",
 ]
 
-_ENV_FLAG = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
+# Event kinds: the root of one trace, one timed layer under it, one op.
+REQUEST, STAGE, KERNEL = "request", "stage", "kernel"
 
-# Enablement is a *process-wide* default plus a context-local override.
-# The default must be module-global, not a ContextVar default: the
-# batcher's background drain thread (and any worker thread) runs in a
-# fresh contextvars context, so a purely context-scoped flag set on the
-# main thread would silently read as disabled there.
-_DEFAULT_ENABLED = _ENV_FLAG in ("1", "true", "on", "yes")
 
-_ENABLED: contextvars.ContextVar[Optional[bool]] = contextvars.ContextVar(
-    "repro_tracing_override", default=None
+@dataclass(frozen=True)
+class Telemetry:
+    """Which event kinds are recorded: request/stage spans, and kernels."""
+
+    spans: bool = False
+    kernels: bool = False
+
+    def with_kinds(
+        self, spans: Optional[bool] = None, kernels: Optional[bool] = None
+    ) -> "Telemetry":
+        """This state with the given kinds changed (``None`` keeps one)."""
+        return Telemetry(
+            self.spans if spans is None else bool(spans),
+            self.kernels if kernels is None else bool(kernels),
+        )
+
+
+def _env_on(name: str) -> bool:
+    return os.environ.get(name, "").strip().lower() in ("1", "true", "on", "yes")
+
+
+# A *process-wide* default plus a context-local override.  The default must
+# be module-global, not a ContextVar default: the batcher's drain thread
+# (and any worker thread) runs in a fresh contextvars context, so a purely
+# context-scoped state set on the main thread would read as off there.
+_DEFAULT = Telemetry(_env_on("REPRO_TELEMETRY"), _env_on("REPRO_PROFILE"))
+_OVERRIDE: contextvars.ContextVar[Telemetry] = contextvars.ContextVar(
+    "repro_telemetry"
 )
 
 
-def _enabled() -> bool:
-    override = _ENABLED.get()
-    return _DEFAULT_ENABLED if override is None else override
+def telemetry() -> Telemetry:
+    """The telemetry state of the current context."""
+    return _OVERRIDE.get(_DEFAULT)
 
 
-_CURRENT: contextvars.ContextVar[Optional[Tuple[str, str]]] = contextvars.ContextVar(
+def set_telemetry(
+    spans: Optional[bool] = None, kernels: Optional[bool] = None
+) -> None:
+    """Turn event kinds on/off process-wide, background threads included
+    (``None`` keeps a kind); :func:`use_telemetry` scopes a context."""
+    global _DEFAULT
+    _DEFAULT = _DEFAULT.with_kinds(spans, kernels)
+
+
+@contextlib.contextmanager
+def use_telemetry(
+    spans: Optional[bool] = None, kernels: Optional[bool] = None
+) -> Iterator[Telemetry]:
+    """Scope event kinds on/off (tests, benchmark legs); a kind left as
+    ``None`` keeps the value it has on entry."""
+    token = _OVERRIDE.set(telemetry().with_kinds(spans, kernels))
+    try:
+        yield _OVERRIDE.get()
+    finally:
+        _OVERRIDE.reset(token)
+
+
+# The innermost open event of this context: a Span, or the SpanContext of a
+# remote parent installed by adopt().
+_CURRENT: contextvars.ContextVar[Optional[object]] = contextvars.ContextVar(
     "repro_current_span", default=None
 )
 
@@ -82,32 +133,6 @@ _SEQ = itertools.count(1)
 
 def _new_id() -> str:
     return f"{os.getpid():x}-{next(_SEQ):x}"
-
-
-def tracing_enabled() -> bool:
-    """Whether span recording is on in the current context."""
-    return _enabled()
-
-
-def set_tracing(enabled: bool) -> None:
-    """Turn span recording on/off process-wide.
-
-    This flips the module-level default so background threads (the batcher
-    drain loop) and freshly spawned contexts see the change; use
-    :func:`use_tracing` for a context-scoped override instead.
-    """
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def use_tracing(enabled: bool) -> Iterator[None]:
-    """Scope tracing on/off (tests, benchmark legs)."""
-    token = _ENABLED.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _ENABLED.reset(token)
 
 
 @dataclass(frozen=True)
@@ -148,14 +173,18 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+_KERNEL_PREFIX = "kernel."
+
 
 class Span:
-    """One timed stage of a trace.
+    """One timed event of a trace: a request, a stage or a kernel.
 
     Starts its clock at construction.  As a context manager it also makes
-    itself the current span (children created inside nest under it); via
-    :meth:`finish` it can be closed from a different thread without ever
-    touching the ContextVar.
+    itself the current event (children created inside nest under it); via
+    :meth:`finish` a request or stage span can be closed from a different
+    thread without ever touching the ContextVar.  A kernel event is closed
+    by its ``with`` block; its ``tracer`` is ``None`` unless it is recorded
+    as a span too.
     """
 
     __slots__ = (
@@ -164,26 +193,35 @@ class Span:
         "span_id",
         "parent_id",
         "name",
+        "kind",
         "start",
         "duration",
         "attrs",
+        "out",
         "_t0",
         "_token",
         "_finished",
+        "_child",
+        "_table",
+        "_args",
     )
 
     def __init__(
         self,
-        tracer: "Tracer",
+        tracer: Optional["Tracer"],
         name: str,
-        trace_id: str,
+        trace_id: Optional[str],
         parent_id: Optional[str],
         attrs: Optional[Dict] = None,
+        kind: str = STAGE,
+        table=None,
+        args: tuple = (),
     ) -> None:
         self.tracer = tracer
         self.name = name
+        self.kind = kind
         self.trace_id = trace_id
-        self.span_id = _new_id()
+        self.span_id = None if tracer is None else _new_id()
         self.parent_id = parent_id
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.start = time.time()
@@ -191,6 +229,12 @@ class Span:
         self._t0 = time.perf_counter()
         self._token = None
         self._finished = False
+        # Kernel events: the result, nested kernel time, the kernel table
+        # and the operands of the flop/byte estimate.
+        self.out = None
+        self._child = 0.0
+        self._table = table
+        self._args = args
 
     def set(self, **attrs) -> "Span":
         self.attrs.update(attrs)
@@ -204,14 +248,14 @@ class Span:
     def active(self) -> Iterator["Span"]:
         """Make this span current without entering/finishing it — used by
         the batcher to run a shared engine call under the leader request."""
-        token = _CURRENT.set((self.trace_id, self.span_id))
+        token = _CURRENT.set(self)
         try:
             yield self
         finally:
             _CURRENT.reset(token)
 
     def __enter__(self) -> "Span":
-        self._token = _CURRENT.set((self.trace_id, self.span_id))
+        self._token = _CURRENT.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -224,12 +268,26 @@ class Span:
         return False
 
     def finish(self) -> None:
-        """Record the span (idempotent; callable from any thread)."""
+        """Close the event (idempotent; callable from any thread)."""
         if self._finished:
             return
         self._finished = True
         self.duration = time.perf_counter() - self._t0
-        self.tracer._record(self.to_dict())
+        if self.kind == KERNEL:
+            # __exit__ has already made the enclosing event current again.
+            outer = _CURRENT.get()
+            if isinstance(outer, Span) and outer.kind == KERNEL:
+                outer._child += self.duration
+            shapes, flops, moved = self._table.fold(
+                self.name[len(_KERNEL_PREFIX) :],
+                self.duration,
+                max(self.duration - self._child, 0.0),
+                self._args,
+                self.out,
+            )
+            self.attrs.update(shapes=shapes, flops=flops, bytes=moved)
+        if self.tracer is not None:
+            self.tracer._record(self.to_dict())
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -237,6 +295,7 @@ class Span:
             "span": self.span_id,
             "parent": self.parent_id,
             "name": self.name,
+            "kind": self.kind,
             "pid": os.getpid(),
             "start": self.start,
             "duration": self.duration,
@@ -270,15 +329,12 @@ class Tracer:
         or ``None``; ``new_trace=True`` forces a fresh root trace.
         """
         if new_trace:
+            return Span(self, name, _new_id(), None, attrs, REQUEST)
+        if parent is None:
+            parent = _CURRENT.get()
+        if parent is None or parent.trace_id is None:
             return Span(self, name, _new_id(), None, attrs)
-        if isinstance(parent, Span):
-            return Span(self, name, parent.trace_id, parent.span_id, attrs)
-        if isinstance(parent, SpanContext):
-            return Span(self, name, parent.trace_id, parent.span_id, attrs)
-        current = _CURRENT.get()
-        if current is not None:
-            return Span(self, name, current[0], current[1], attrs)
-        return Span(self, name, _new_id(), None, attrs)
+        return Span(self, name, parent.trace_id, parent.span_id, attrs)
 
     # ------------------------------------------------------------------ #
     # Storage
@@ -342,11 +398,6 @@ class Tracer:
                 if tid in chosen
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self._export.clear()
-
 
 _GLOBAL_TRACER = Tracer()
 
@@ -376,30 +427,52 @@ def use_tracer(tracer: Optional[Tracer]) -> Iterator[Tracer]:
 def span(name: str) -> object:
     """Open a stage span — THE instrumentation call site.
 
-    Disabled path: one ContextVar read, return the shared no-op singleton.
+    Spans off: one ContextVar read, return the shared no-op singleton.
     Attributes go through ``.set(...)`` on the returned object so call sites
-    never build kwargs dicts when tracing is off.
+    never build kwargs dicts when spans are off.
     """
-    if not _enabled():
+    if not _OVERRIDE.get(_DEFAULT).spans:
         return NULL_SPAN
     return get_tracer().span(name)
 
 
 def start_trace(name: str) -> object:
-    """Open a fresh root trace (one per serving request)."""
-    if not _enabled():
+    """Open a fresh root trace (one request span per serving request)."""
+    if not _OVERRIDE.get(_DEFAULT).spans:
         return NULL_SPAN
     return get_tracer().span(name, new_trace=True)
 
 
+def kernel(name: str, table, args: tuple = ()) -> Span:
+    """Open a kernel event (``with`` form) that folds into ``table``.
+
+    ``table`` is the :class:`~repro.obs.profile.KernelProfiler` from
+    :func:`~repro.obs.profile.active_profiler` (``None`` — and no event —
+    when kernels are off); ``args`` are the operands of the flop/byte
+    estimate; set ``event.out`` to the result inside the block.  The event
+    is a ``kernel.<name>`` span as well when spans are on and one is open.
+    """
+    outer = _CURRENT.get()
+    traced = outer is not None and outer.trace_id is not None and telemetry().spans
+    return Span(
+        get_tracer() if traced else None,
+        _KERNEL_PREFIX + name,
+        outer.trace_id if traced else None,
+        outer.span_id if traced else None,
+        kind=KERNEL,
+        table=table,
+        args=args,
+    )
+
+
 def current_context() -> Optional[SpanContext]:
-    """Propagation token for the current span (``None`` when disabled/idle)."""
-    if not _enabled():
+    """Propagation token for the current span (``None`` when off/idle)."""
+    if not _OVERRIDE.get(_DEFAULT).spans:
         return None
     current = _CURRENT.get()
-    if current is None:
+    if current is None or current.trace_id is None:
         return None
-    return SpanContext(current[0], current[1], time.time())
+    return SpanContext(current.trace_id, current.span_id, time.time())
 
 
 @contextlib.contextmanager
@@ -408,7 +481,7 @@ def adopt(ctx: Optional[SpanContext]) -> Iterator[None]:
     if ctx is None:
         yield
         return
-    token = _CURRENT.set((ctx.trace_id, ctx.span_id))
+    token = _CURRENT.set(ctx)
     try:
         yield
     finally:

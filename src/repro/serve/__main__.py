@@ -29,16 +29,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cluster.partition import PARTITION_STRATEGIES
 from repro.cluster.router import ShardRouter
 from repro.core.config import ComputeConfig
 from repro.datasets import load_dataset
 from repro.gnn.models import MODEL_REGISTRY, build_model
 from repro.obs.metrics import active_metrics, next_instance
-from repro.obs.profile import format_top, global_profiler, set_profiling
+from repro.obs.profile import format_top, global_profiler
 from repro.obs.slo import check_slo, format_slo, parse_slo, resolve_slo_histograms
 from repro.obs.snapshot import DEFAULT_SNAPSHOT_PATH, SnapshotEmitter
-from repro.obs.trace import set_tracing
+from repro.obs.trace import set_telemetry
 from repro.gnn.trainer import TrainConfig, Trainer
 from repro.serve.batching import RequestBatcher
 from repro.serve.engine import InferenceEngine, ServeConfig
@@ -113,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of one engine",
     )
     serve.add_argument(
-        "--strategy",
-        default="greedy",
-        choices=PARTITION_STRATEGIES,
-        help="node ownership strategy for --shards (default: greedy)",
-    )
-    serve.add_argument(
         "--verify",
         action="store_true",
         help="compare final answers against a fresh single-process engine",
@@ -126,14 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--telemetry",
         action="store_true",
-        help="enable request tracing and telemetry snapshot emission",
+        help="record request and stage spans (the telemetry state's spans "
+        "kind, as REPRO_TELEMETRY=1) and emit telemetry snapshots",
     )
     serve.add_argument(
         "--profile",
         action="store_true",
-        help="enable the kernel-level profiler (per-op times, flops, memory "
-        "high-water marks; with --telemetry, kernel events join the "
-        "request timelines)",
+        help="record kernel events (the telemetry state's kernels kind, as "
+        "REPRO_PROFILE=1): per-op times, flops and memory high-water marks; "
+        "with --telemetry they also join the request timelines",
     )
     serve.add_argument(
         "--obs-path",
@@ -248,13 +242,10 @@ def cmd_serve(args) -> int:
     model, meta = registry.load(args.name, version=args.version, expect_graph=graph)
     session = GraphSession.from_graph(graph)
     config = ServeConfig(fanouts=args.fanouts)
-    # Before the front end: shard workers read both flags from WorkerInit
+    # Before the front end: shard workers read the state from WorkerInit
     # at construction.  An unset flag leaves REPRO_TELEMETRY/REPRO_PROFILE
-    # in charge.
-    if args.telemetry:
-        set_tracing(True)
-    if args.profile:
-        set_profiling(True)
+    # in charge of its kind.
+    set_telemetry(spans=args.telemetry or None, kernels=args.profile or None)
     emitter = (
         SnapshotEmitter(args.obs_path, interval=args.obs_interval)
         if args.telemetry or args.profile
@@ -283,15 +274,13 @@ def cmd_serve(args) -> int:
             model,
             session,
             num_shards=shards,
-            strategy=args.strategy,
             config=config,
             workers="process",
             model_ref=(args.registry, args.name, meta["version"]),
         )
         owned_sizes = np.bincount(router.owners, minlength=shards).tolist()
         print(
-            f"cluster up: {shards} shard processes, strategy={args.strategy} "
-            f"(owned sizes {owned_sizes})"
+            f"cluster up: {shards} shard processes (owned sizes {owned_sizes})"
         )
     try:
         batcher = RequestBatcher(frontend, max_batch_size=args.batch_size).start()

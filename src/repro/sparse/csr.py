@@ -25,6 +25,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from repro.obs.profile import active_profiler
+from repro.obs.trace import kernel
 
 __all__ = ["CSRMatrix", "gather_row_positions"]
 
@@ -373,19 +374,16 @@ class CSRMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape} @ {other.shape}"
             )
+        operator = csr_array(
+            (self.data, self.indices, self.indptr), shape=self.shape
+        )
         profiler = active_profiler()
-        frame = profiler.begin() if profiler is not None else None
-        out = None
-        try:
-            out = csr_array(
-                (self.data, self.indices, self.indptr), shape=self.shape
-            ) @ other
-            return out
-        finally:
-            if frame is not None:
-                profiler.end(
-                    frame, "spmv" if other.ndim == 1 else "spmm", (self, other), out
-                )
+        if profiler is None:
+            return operator @ other
+        name = "spmv" if other.ndim == 1 else "spmm"
+        with kernel(name, profiler, (self, other)) as event:
+            out = event.out = operator @ other
+        return out
 
     def __matmul__(self, other) -> np.ndarray:
         if isinstance(other, CSRMatrix):

@@ -107,7 +107,7 @@ def _fresh_reference(model, session, config=None):
 # Ownership
 # --------------------------------------------------------------------- #
 class TestPartitioner:
-    @pytest.mark.parametrize("strategy", ["hash", "greedy"])
+    @pytest.mark.parametrize("strategy", ["hash"])
     def test_owners_cover_all_nodes(self, small_graph, strategy):
         csr, _ = small_graph
         owners = assign_owners(csr, 4, strategy=strategy)
@@ -115,20 +115,6 @@ class TestPartitioner:
         assert owners.min() >= 0 and owners.max() < 4
         # Deterministic: same inputs, same assignment.
         assert np.array_equal(owners, assign_owners(csr, 4, strategy=strategy))
-
-    def test_greedy_is_capacity_balanced(self, small_graph):
-        csr, _ = small_graph
-        owners = assign_owners(csr, 4, strategy="greedy")
-        sizes = np.bincount(owners, minlength=4)
-        assert sizes.max() <= int(np.ceil(NUM_NODES / 4))
-
-    def test_greedy_cuts_fewer_edges_than_hash(self, small_graph):
-        csr, _ = small_graph
-
-        def cut(owners):
-            return int(np.count_nonzero(owners[csr.row_indices()] != owners[csr.indices]))
-
-        assert cut(assign_owners(csr, 4, "greedy")) < cut(assign_owners(csr, 4, "hash"))
 
     def test_shard_structure_is_exact_row_subset(self, small_graph, gcn_model):
         """A full replica's row subset is every row: the owned sets partition
@@ -138,7 +124,7 @@ class TestPartitioner:
         session = GraphSession(csr, features)
         dense = csr.to_dense()
         with ShardRouter(
-            gcn_model, session, 3, strategy="greedy", workers="inproc"
+            gcn_model, session, 3, strategy="hash", workers="inproc"
         ) as router:
             owned = [
                 np.flatnonzero(worker._worker._owned_mask) for worker in router.workers
@@ -155,7 +141,7 @@ class TestPartitioner:
         csr, features = small_graph
         session = GraphSession(csr, features)
         with ShardRouter(
-            gcn_model, session, 4, strategy="greedy", workers="inproc"
+            gcn_model, session, 4, strategy="hash", workers="inproc"
         ) as router:
             query = np.arange(0, NUM_NODES, 3)
             router.predict_logits(query)
@@ -183,7 +169,7 @@ class TestPartitioner:
 # Shard worker
 # --------------------------------------------------------------------- #
 def _shard_zero(csr, features, model):
-    """A worker for shard 0 of a 2-shard greedy ownership, and that ownership."""
+    """A worker for shard 0 of a 2-shard hash ownership, and that ownership."""
     owners = assign_owners(csr, 2)
     init = WorkerInit(
         shard_id=0,
@@ -306,7 +292,7 @@ class TestRouterEquivalence:
 # Cross-shard consistency under mutation
 # --------------------------------------------------------------------- #
 class TestCrossShardConsistency:
-    @pytest.mark.parametrize("strategy", ["hash", "greedy"])
+    @pytest.mark.parametrize("strategy", ["hash"])
     def test_cross_shard_edge_mutations(self, small_graph, gcn_model, strategy):
         csr, features = small_graph
         session = GraphSession(csr, features)

@@ -1,5 +1,7 @@
 """Autodiff correctness tests: analytic gradients vs numerical differentiation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +333,37 @@ class TestPowEdgeCases:
         x = Tensor(np.array([-1.0, 0.0, 3.0]), requires_grad=True)
         (x**1).sum().backward()
         np.testing.assert_allclose(x.grad, np.ones(3))
+
+    def test_normalize_rows_zero_row_gradient_is_finite(self):
+        """Regression: the norm of an all-zero row got 0 · 0**-0.5 = NaN."""
+        from repro.nn import functional as F
+
+        eps = 1e-12
+        x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F.normalize_rows(x, eps=eps).sum().backward()
+        # d/dx x / (||x|| + eps) at x = 0 is I / eps.
+        np.testing.assert_array_equal(x.grad[0], np.full(2, 1.0 / eps))
+        alone = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        F.normalize_rows(alone, eps=eps).sum().backward()
+        np.testing.assert_array_equal(x.grad[1], alone.grad[0])
+
+    @pytest.mark.parametrize("exponent", [0.5, -1.0, -0.5])
+    def test_fractional_pow_vjp_is_the_naive_formula_where_finite(self, exponent):
+        from repro.nn.tensor import _pow_vjp
+
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.1, 3.0, size=(6, 5))
+        g = rng.normal(size=(6, 5))
+        g[0] = 0.0
+        for zero in (None, (1, 2)):  # without and with a zero where g != 0
+            if zero is not None:
+                x[zero] = 0.0
+            with np.errstate(divide="ignore"):
+                naive = g * exponent * x ** (exponent - 1)
+                ans = x**exponent
+            np.testing.assert_array_equal(_pow_vjp(g, ans, x, exponent), naive)
 
 
 class TestSparseAdjoints:

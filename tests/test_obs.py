@@ -41,13 +41,16 @@ from repro.obs.slo import check_slo, parse_slo, resolve_slo_histograms
 from repro.obs.snapshot import SnapshotEmitter, latest_snapshot, read_snapshots
 from repro.obs.trace import (
     NULL_SPAN,
+    Telemetry,
     Tracer,
     current_context,
     render_trace,
+    set_telemetry,
     span,
     start_trace,
+    telemetry,
+    use_telemetry,
     use_tracer,
-    use_tracing,
 )
 from repro.serve import GraphSession, RequestBatcher
 
@@ -182,7 +185,7 @@ class TestHistogramQuantiles:
 class TestTracing:
     def test_disabled_path_returns_null_span_and_records_nothing(self):
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(False):
+        with use_tracer(tracer), use_telemetry(spans=False):
             assert span("anything") is NULL_SPAN
             assert start_trace("request") is NULL_SPAN
             assert current_context() is None
@@ -194,7 +197,7 @@ class TestTracing:
 
     def test_nesting_and_parent_links(self):
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             with tracer.span("root", new_trace=True) as root:
                 with span("child") as child:
                     with span("grandchild"):
@@ -208,7 +211,7 @@ class TestTracing:
 
     def test_cross_thread_finish_and_active(self):
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             root = tracer.span("request", new_trace=True)
             with root.active():
                 with span("stage"):
@@ -222,7 +225,7 @@ class TestTracing:
 
     def test_render_trace_tree(self):
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             with tracer.span("root", new_trace=True) as root:
                 with span("leaf"):
                     pass
@@ -243,7 +246,7 @@ class TestSingleProcessTrace:
 
         engine = InferenceEngine(gcn_model, session)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             batcher = RequestBatcher(engine, max_batch_size=8)
             future = batcher.submit(3)
             batcher.flush()
@@ -268,7 +271,7 @@ class TestSingleProcessTrace:
 
         engine = InferenceEngine(gcn_model, session)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             batcher = RequestBatcher(engine, max_batch_size=8)
             futures = [batcher.submit(n) for n in (1, 2, 3)]
             batcher.flush()
@@ -302,7 +305,7 @@ class TestCrossProcessTrace:
         csr, features = small_graph
         session = GraphSession(csr, features)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             with ShardRouter(
                 gcn_model, session, 2, workers="process"
             ) as router:
@@ -352,7 +355,7 @@ class TestCrossProcessTrace:
         csr, features = small_graph
         session = GraphSession(csr, features)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             with ShardRouter(
                 gcn_model, session, 2, workers="process"
             ) as router:
@@ -388,12 +391,58 @@ class TestCrossProcessTrace:
         csr, features = small_graph
         session = GraphSession(csr, features)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(False):
+        with use_tracer(tracer), use_telemetry(spans=False):
             with ShardRouter(
                 gcn_model, session, 2, workers="process"
             ) as router:
                 router.predict_logits(np.arange(6))
         assert tracer.trace_ids() == []
+
+
+# --------------------------------------------------------------------- #
+# The one telemetry state
+# --------------------------------------------------------------------- #
+class TestTelemetryState:
+    def test_nested_kernels_off_leaves_spans_on(self):
+        from repro.obs.profile import active_profiler
+
+        tracer = Tracer()
+        with use_tracer(tracer), use_telemetry(spans=True, kernels=True):
+            with use_telemetry(kernels=False):
+                assert telemetry() == Telemetry(spans=True, kernels=False)
+                assert active_profiler() is None
+                with span("still-traced"):
+                    pass
+            assert telemetry() == Telemetry(spans=True, kernels=True)
+        assert [s["name"] for s in tracer.drain()] == ["still-traced"]
+
+    def test_set_telemetry_none_keeps_a_kind(self):
+        before = telemetry()
+        try:
+            set_telemetry(spans=True)
+            assert telemetry() == Telemetry(spans=True, kernels=before.kernels)
+            set_telemetry(kernels=True)
+            assert telemetry() == Telemetry(spans=True, kernels=True)
+        finally:
+            set_telemetry(spans=before.spans, kernels=before.kernels)
+        assert telemetry() == before
+
+    def test_process_default_reaches_a_fresh_thread(self):
+        import threading
+
+        seen = []
+        before = telemetry()
+        try:
+            set_telemetry(spans=True)
+            with use_telemetry(spans=False):
+                # The scope is context-local; a new thread sees the default.
+                worker = threading.Thread(target=lambda: seen.append(telemetry()))
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+        finally:
+            set_telemetry(spans=before.spans, kernels=before.kernels)
+        assert seen == [Telemetry(spans=True, kernels=before.kernels)]
 
 
 # --------------------------------------------------------------------- #
@@ -477,7 +526,7 @@ class TestSnapshots:
     def test_traces_serialised_in_snapshot(self, tmp_path):
         path = str(tmp_path / "telemetry.jsonl")
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True):
+        with use_tracer(tracer), use_telemetry(spans=True):
             with tracer.span("root", new_trace=True) as root:
                 with span("leaf"):
                     pass

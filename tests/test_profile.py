@@ -39,10 +39,9 @@ from repro.obs.profile import (
     estimate_flops_bytes,
     format_top,
     use_profiler,
-    use_profiling,
 )
 from repro.obs.snapshot import SnapshotEmitter
-from repro.obs.trace import Tracer, use_tracer, use_tracing
+from repro.obs.trace import Tracer, use_telemetry, use_tracer
 from repro.serve import GraphSession, RequestBatcher
 from repro.sparse.csr import CSRMatrix
 
@@ -206,9 +205,9 @@ class TestDisabledPath:
         assert active_profiler() is None
 
     def test_disabled_context_overrides_enabled_outer(self):
-        with use_profiling(True):
+        with use_telemetry(kernels=True):
             assert active_profiler() is not None
-            with use_profiling(False):
+            with use_telemetry(kernels=False):
                 assert active_profiler() is None
 
     def test_results_identical_with_and_without_profiling(self):
@@ -270,8 +269,8 @@ class TestChromeExport:
         engine = InferenceEngine(gcn_model, GraphSession(csr, features))
         tracer = Tracer()
         registry = MetricsRegistry()
-        with use_metrics(registry), use_tracer(tracer), use_tracing(True):
-            with use_profiling(True):
+        with use_metrics(registry), use_tracer(tracer), use_telemetry(spans=True):
+            with use_telemetry(kernels=True):
                 batcher = RequestBatcher(engine, max_batch_size=4)
                 future = batcher.submit(3)
                 batcher.flush()
@@ -325,7 +324,7 @@ class TestCrossProcessKernels:
         csr, features = small_graph
         session = GraphSession(csr, features)
         tracer = Tracer()
-        with use_tracer(tracer), use_tracing(True), use_profiling(True):
+        with use_tracer(tracer), use_telemetry(spans=True, kernels=True):
             with ShardRouter(
                 gcn_model, session, 2, workers="process"
             ) as router:
@@ -358,3 +357,67 @@ class TestCrossProcessKernels:
         assert "kernel.plan.matmul" in names
         sample = next(s for s in kernels if s["name"] == "kernel.plan.matmul")
         assert sample["attrs"]["flops"] > 0
+
+    @pytest.fixture
+    def spawned_workers(self, monkeypatch):
+        """Start shard processes with ``spawn``: a forked child inherits the
+        parent's contextvars, a spawned one only ``WorkerInit.telemetry``."""
+        from repro.cluster.worker import ProcessWorker
+
+        monkeypatch.setattr(ProcessWorker.__init__, "__defaults__", ("spawn",))
+
+    def test_kernels_only_ship_tables_and_no_spans(
+        self, small_graph, gcn_model, spawned_workers
+    ):
+        """Workers read the one telemetry field: kernels on, spans off."""
+        csr, features = small_graph
+        session = GraphSession(csr, features)
+        tracer = Tracer()
+        with use_tracer(tracer), use_telemetry(spans=False, kernels=True):
+            with ShardRouter(
+                gcn_model, session, 2, workers="process"
+            ) as router:
+                router.predict_logits(np.arange(NUM_NODES))
+                stats = router.stats()
+        assert tracer.trace_ids() == [] and tracer.drain() == []
+        merged = KernelProfiler()
+        for shard in stats.shards:
+            assert shard.profile is not None and shard.profile["ops"], (
+                f"shard {shard.shard_id} shipped no kernel table"
+            )
+            merged.merge_table(shard.profile["ops"])
+            merged.merge_memory(shard.profile["memory"])
+        table = merged.table()
+        assert table["plan.matmul"]["calls"] == sum(
+            shard.profile["ops"]["plan.matmul"]["calls"] for shard in stats.shards
+        )
+        assert table["plan.matmul"]["flops"] > 0
+
+    def test_spans_only_stitch_without_kernel_events(
+        self, small_graph, gcn_model, spawned_workers
+    ):
+        """Spans on, kernels off: worker spans, no kernel spans or tables."""
+        csr, features = small_graph
+        session = GraphSession(csr, features)
+        tracer = Tracer()
+        with use_tracer(tracer), use_telemetry(spans=True, kernels=False):
+            with ShardRouter(
+                gcn_model, session, 2, workers="process"
+            ) as router:
+                batcher = RequestBatcher(router, max_batch_size=8)
+                owners = router.owners
+                futures = [
+                    batcher.submit(int(np.flatnonzero(owners == shard)[0]))
+                    for shard in (0, 1)
+                ]
+                batcher.flush()
+                for future in futures:
+                    future.result()
+                stats = router.stats()
+        best = max(
+            (tracer.trace(tid) for tid in tracer.trace_ids()), key=len
+        )
+        assert "worker.handle" in {s["name"] for s in best}
+        every = [s for tid in tracer.trace_ids() for s in tracer.trace(tid)]
+        assert not [s["name"] for s in every if s["name"].startswith("kernel.")]
+        assert all(shard.profile is None for shard in stats.shards)

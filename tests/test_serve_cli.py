@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import profile as profile_module
-from repro.obs import trace as trace_module
 from repro.obs.snapshot import latest_snapshot
+from repro.obs.trace import set_telemetry, telemetry
 from repro.serve.__main__ import main
 
 
@@ -27,13 +26,12 @@ def registry(tmp_path_factory):
 
 
 @pytest.fixture
-def restore_flags(monkeypatch):
-    """``--telemetry``/``--profile`` switch process-wide defaults on; put
-    them back so later tests run with telemetry as configured."""
-    monkeypatch.setattr(trace_module, "_DEFAULT_ENABLED", trace_module._DEFAULT_ENABLED)
-    monkeypatch.setattr(
-        profile_module, "_DEFAULT_ENABLED", profile_module._DEFAULT_ENABLED
-    )
+def restore_flags():
+    """``--telemetry``/``--profile`` switch the process-wide default on; put
+    it back so later tests run with telemetry as configured."""
+    before = telemetry()
+    yield
+    set_telemetry(spans=before.spans, kernels=before.kernels)
 
 
 def serve(registry, *extra):
