@@ -2,7 +2,7 @@
 
 Synthetic planted-partition graphs from 1k to 50k nodes (average degree 20,
 homophily 0.8 — the regime of the paper's datasets) are pushed through the
-full propagation pipeline on both backends:
+full propagation pipeline on CSR and on the dense NumPy reference:
 
 * build the GCN operator ``D̃^{-1/2}(A+I)D̃^{-1/2}``, and
 * run one autodiff forward + backward of ``P @ X`` (the inner loop of every

@@ -2,7 +2,7 @@
 
 The point of the serving subsystem is per-request cost: a naive deployment
 answers every prediction request with one full-graph forward — Θ(N + m)
-even on the sparse backend — while the engine's sampled ego-block path costs
+even on CSR — while the engine's sampled ego-block path costs
 ``O(Π fanouts)`` per miss and O(1) per warm-cache hit.  A closed-loop load
 generator over a 20k-node SBM graph measures both and reports requests/sec
 plus p50/p99 latencies.

@@ -2,17 +2,12 @@
 
 The pins live in ``results/autodiff_pins.json``, the one file under
 ``results/`` that is committed (``.gitignore`` re-includes it).  They are
-the quick-preset seed-0 row hashes of the training pipeline as it stood
-before SciPy's CSR kernel replaced the hand-written ``spmm``; the Table IV
-pins were taken before its DPFR and PPFR rows started fine-tuning a shared
-vanilla snapshot.  Training numerics must not move at all — every float in
-the quick table3/figure4/table4 rows is canonicalised via ``float.hex``
+the quick-preset seed-0 row hashes of the training pipeline with CSR as its
+one propagation path.  Training numerics must not move at all — every float
+in the quick table3/figure4/table4 rows is canonicalised via ``float.hex``
 (lossless) and the rows hashed, so a single ULP of drift anywhere in the
-training pipeline fails this check.
-
-The all-dataset Table IV pin holds for a multi-threaded BLAS (any thread
-count from 2 up); with a single BLAS thread pubmed's bias columns differ in
-the last bits, so run ``--full`` with the BLAS default on a multi-core host.
+training pipeline fails this check.  The hashes do not depend on the BLAS
+thread count.
 
 Usage::
 

@@ -4,7 +4,7 @@ in Graph Neural Networks" (Zhang, Yuan, Pan — IEEE ICDE 2024).
 The package is organised as:
 
 * :mod:`repro.nn`          — NumPy autodiff substrate (tensors, layers, optimisers),
-* :mod:`repro.sparse`      — CSR matrices, sparse kernels and the compute backend,
+* :mod:`repro.sparse`      — CSR matrices, sparse kernels and propagation operators,
 * :mod:`repro.graphs`      — graph container, similarity, Laplacians, generators,
 * :mod:`repro.datasets`    — calibrated surrogate datasets (Cora, Citeseer, ...),
 * :mod:`repro.gnn`         — GCN / GAT / GraphSAGE victim models and trainer,

@@ -55,7 +55,6 @@ from repro.obs.trace import telemetry
 from repro.graphs.khop import khop_frontier  # noqa: F401
 from repro.serve.engine import ServeConfig, softmax_rows
 from repro.serve.session import GraphSession, MutationEvent
-from repro.sparse.backend import get_backend_name
 
 __all__ = ["ClusterStats", "ShardRouter"]
 
@@ -145,7 +144,6 @@ class ShardRouter:
         self._lock = threading.Lock()
         self._closed = False
 
-        backend = get_backend_name()
         state = telemetry()
         inits = []
         for shard in range(num_shards):
@@ -155,7 +153,6 @@ class ShardRouter:
                 csr=session.csr,
                 features=session.features,
                 config=self.config,
-                backend=backend,
                 base_version=session.version,
                 telemetry=state,
             )

@@ -32,7 +32,6 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -172,9 +171,7 @@ class WorkerInit:
     ``owned`` are the nodes this shard answers for; ``csr`` and ``features``
     are the whole graph.  Exactly one of ``model`` (in-process / pre-built
     instance) or ``registry_root``+``model_name`` (load from the shared
-    registry) must be provided.  ``backend`` pins the compute-backend
-    contextvar inside the child process, which does not inherit the parent's
-    context.
+    registry) must be provided.
     """
 
     shard_id: int
@@ -182,7 +179,6 @@ class WorkerInit:
     csr: CSRMatrix
     features: np.ndarray
     config: ServeConfig = field(default_factory=ServeConfig)
-    backend: Optional[str] = None
     model: Optional[object] = None
     registry_root: Optional[str] = None
     model_name: Optional[str] = None
@@ -408,33 +404,29 @@ def _worker_main(
     conn: multiprocessing.connection.Connection, init: WorkerInit
 ) -> None:
     """Child-process entry: build the replica, serve the command pipe."""
-    from repro.sparse.backend import use_backend
-
     _single_thread_blas()
     set_telemetry(spans=init.telemetry.spans, kernels=init.telemetry.kernels)
-    scope = use_backend(init.backend) if init.backend else nullcontext()
-    with scope:
+    try:
+        worker = ShardWorker(init)
+    except Exception as error:  # noqa: BLE001 - surfaced to the router
+        conn.send(("error", f"{type(error).__name__}: {error}"))
+        return
+    conn.send(("ok", worker.shard_id))
+    tracer = get_tracer()
+    tracer.drain()  # discard construction-time spans (no parent request)
+    while True:
         try:
-            worker = ShardWorker(init)
-        except Exception as error:  # noqa: BLE001 - surfaced to the router
-            conn.send(("error", f"{type(error).__name__}: {error}"))
+            command, payload, ctx = conn.recv()
+        except (EOFError, OSError):
             return
-        conn.send(("ok", worker.shard_id))
-        tracer = get_tracer()
-        tracer.drain()  # discard construction-time spans (no parent request)
-        while True:
-            try:
-                command, payload, ctx = conn.recv()
-            except (EOFError, OSError):
-                return
-            if command == "shutdown":
-                conn.send(("ok", None))
-                return
-            reply = _handle(worker, command, payload, ctx)
-            # Ship the spans recorded while handling (child processes have
-            # no other path back to the parent's trace store).
-            shipped = tracer.drain() if ctx is not None else []
-            conn.send(reply + (shipped,) if shipped else reply)
+        if command == "shutdown":
+            conn.send(("ok", None))
+            return
+        reply = _handle(worker, command, payload, ctx)
+        # Ship the spans recorded while handling (child processes have
+        # no other path back to the parent's trace store).
+        shipped = tracer.drain() if ctx is not None else []
+        conn.send(reply + (shipped,) if shipped else reply)
 
 
 class ProcessWorker:

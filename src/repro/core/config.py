@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
-from typing import ContextManager, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.fairness.reweighting import FairnessReweightingConfig
 from repro.gnn.trainer import TrainConfig
-from repro.sparse.backend import available_backends, use_backend
 
 
 GRID_EXECUTORS = ("serial", "thread", "process")
@@ -17,16 +15,10 @@ GRID_EXECUTORS = ("serial", "thread", "process")
 
 @dataclass
 class ComputeConfig:
-    """Compute selection: propagation backend and grid-cell execution.
+    """Compute selection: grid-cell execution and serving shards.
 
     Attributes
     ----------
-    backend:
-        ``"dense"``, ``"sparse"``, ``"auto"`` (nnz-density heuristic, see
-        :mod:`repro.sparse.backend`) or ``None`` to inherit whatever backend
-        the surrounding context selected — e.g. the experiment CLI's
-        ``--backend`` flag.  ``None`` is the default so per-method settings
-        do not silently override a run-wide choice.
     executor:
         Grid-cell executor (``"serial"`` / ``"thread"`` / ``"process"``) used
         when a :class:`repro.experiments.grid.GridRunner` is built from this
@@ -48,7 +40,6 @@ class ComputeConfig:
         processes.
     """
 
-    backend: Optional[str] = None
     executor: Optional[str] = None
     jobs: Optional[int] = None
     cache: bool = True
@@ -58,25 +49,12 @@ class ComputeConfig:
     def __post_init__(self) -> None:
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.backend is not None:
-            allowed = set(available_backends()) | {"auto"}
-            if self.backend not in allowed:
-                raise ValueError(
-                    f"backend must be one of {sorted(allowed)} or None, "
-                    f"got {self.backend!r}"
-                )
         if self.executor is not None and self.executor not in GRID_EXECUTORS:
             raise ValueError(
                 f"executor must be one of {GRID_EXECUTORS} or None, got {self.executor!r}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-
-    def activate(self) -> ContextManager[None]:
-        """Context manager applying the backend selection (no-op when inheriting)."""
-        if self.backend is None:
-            return contextlib.nullcontext()
-        return use_backend(self.backend)
 
 
 @dataclass
@@ -144,9 +122,6 @@ class MethodSettings:
         PPFR-specific settings.
     attack_seed:
         Seed of the link-stealing evaluation (negative-pair sampling).
-    compute:
-        Compute-backend selection (dense / sparse / auto) applied around the
-        method run by the pipeline.
     """
 
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=150, patience=None))
@@ -156,7 +131,6 @@ class MethodSettings:
     ppfr: PPFRConfig = field(default_factory=PPFRConfig)
     attack_seed: int = 0
     model_seed: int = 0
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
 
     def __post_init__(self) -> None:
         if self.fairness_weight <= 0:

@@ -63,15 +63,14 @@ def run_method(
         raise KeyError(
             f"unknown method {method!r}; available: {', '.join(sorted(METHOD_RUNNERS))}"
         )
-    with settings.compute.activate():
-        model = build_model(
-            model_name,
-            in_features=graph.num_features,
-            num_classes=graph.num_classes,
-            hidden_features=hidden_features,
-            rng=settings.model_seed,
-        )
-        return METHOD_RUNNERS[key](model, graph, settings)
+    model = build_model(
+        model_name,
+        in_features=graph.num_features,
+        num_classes=graph.num_classes,
+        hidden_features=hidden_features,
+        rng=settings.model_seed,
+    )
+    return METHOD_RUNNERS[key](model, graph, settings)
 
 
 def run_all_methods(
@@ -128,29 +127,28 @@ def run_all_methods(
             phase_memo.append(VanillaPhase(runs["vanilla"], settings))
         return phase_memo[0]
 
-    with settings.compute.activate():
-        for method in methods:
+    for method in methods:
 
-            def train(method: str = method) -> MethodRun:
-                if method in FINE_TUNE_METHODS:
-                    return METHOD_RUNNERS[method](None, graph, settings, vanilla=shared_phase())
-                return run_method(method, model_name, graph, settings, hidden_features)
+        def train(method: str = method) -> MethodRun:
+            if method in FINE_TUNE_METHODS:
+                return METHOD_RUNNERS[method](None, graph, settings, vanilla=shared_phase())
+            return run_method(method, model_name, graph, settings, hidden_features)
 
-            if artifact_cache is not None and cache_key is not None:
-                run = artifact_cache.get_or_create(f"train:{cache_key}:{method}", train)
-                evaluation = artifact_cache.get_or_create(
-                    f"eval:{cache_key}:{method}",
-                    lambda run=run: evaluate_method(
-                        run, model_name=model_name, similarity=similarity(), attack=attack
-                    ),
-                )
-            else:
-                run = train()
-                evaluation = evaluate_method(
+        if artifact_cache is not None and cache_key is not None:
+            run = artifact_cache.get_or_create(f"train:{cache_key}:{method}", train)
+            evaluation = artifact_cache.get_or_create(
+                f"eval:{cache_key}:{method}",
+                lambda run=run: evaluate_method(
                     run, model_name=model_name, similarity=similarity(), attack=attack
-                )
-            runs[method] = run
-            evaluations[method] = evaluation
+                ),
+            )
+        else:
+            run = train()
+            evaluation = evaluate_method(
+                run, model_name=model_name, similarity=similarity(), attack=attack
+            )
+        runs[method] = run
+        evaluations[method] = evaluation
 
     vanilla_eval = evaluations["vanilla"]
     deltas: Dict[str, DeltaReport] = {

@@ -89,7 +89,7 @@ def evaluate_method(
         Architecture label for reporting (``"gcn"``, ``"gat"``, ...).
     similarity:
         Pre-computed Jaccard similarity of the original graph, dense or CSR
-        (recomputed backend-aware when omitted; pass it when evaluating many
+        (recomputed in CSR form when omitted; pass it when evaluating many
         methods on the same graph).
     attack:
         Configured link-stealing attack (defaults to the paper's eight

@@ -25,7 +25,6 @@ from repro.core.config import GRID_EXECUTORS
 from repro.experiments.grid import GridRunner
 from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.runner import EXPERIMENTS, run_experiment, run_experiment_seeds
-from repro.sparse.backend import available_backends
 
 
 def parse_seeds(text: str) -> Tuple[int, ...]:
@@ -132,15 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=sorted(available_backends()) + ["auto"],
-        help=(
-            "graph compute backend: 'dense' (reference), 'sparse' (CSR spmm) "
-            "or 'auto' (nnz-density heuristic; default)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -221,15 +211,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             eval_interval=args.eval_interval if args.eval_interval is not None else 1,
         )
     # One runner for the whole invocation: experiments share trained cells
-    # (table3 and figure4 declare identical (gcn, vanilla/reg) grids), and
-    # the runner applies --backend around every cell on every executor.
+    # (table3 and figure4 declare identical (gcn, vanilla/reg) grids).
     if args.cache_dir is not None and not args.cache:
         parser.error("--cache-dir conflicts with --no-cache")
     runner = GridRunner(
         executor=args.executor,
         jobs=args.jobs,
         cache=args.cache,
-        backend=args.backend,
         cache_dir=args.cache_dir,
     )
     for name in names:

@@ -46,19 +46,11 @@ __all__ = ["CELL_KINDS", "execute_cell", "method_scope_key"]
 def method_scope_key(spec) -> str:
     """Key prefix under which a cell's trained methods are cached.
 
-    Deliberately excludes ``kind`` and ``methods`` — a Table III cell
+    Deliberately excludes ``kind`` and ``methods``: a Table III cell
     (vanilla + reg) and a Table IV cell (vanilla + four methods) on the same
-    (dataset, model, seed, preset) share each method's training — but
-    *includes* the ambient compute-backend selection: backends agree only to
-    ~1e-8, so artifacts trained under different backends must never alias in
-    a shared cache.  Cells run inside the runner's backend scope, so the
-    ambient name is the effective one.
+    (dataset, model, seed, preset) share each method's training.
     """
-    from repro.sparse.backend import get_backend_name
-
-    return stable_hash(
-        ("method-scope", get_backend_name(), spec.dataset, spec.model, spec.seed, spec.preset)
-    )
+    return stable_hash(("method-scope", spec.dataset, spec.model, spec.seed, spec.preset))
 
 
 def _evaluation_payload(evaluation) -> Dict:

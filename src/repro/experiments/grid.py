@@ -12,8 +12,8 @@ loops into *declarations*:
   (finished cell payloads and trained ``MethodRun`` artifacts) and scoping a
   propagation-operator cache around every cell.
 
-Cells are independent and deterministic, and backend/autodiff state is
-``contextvars``-scoped, so the executors produce bitwise-identical
+Cells are independent and deterministic, and autodiff/operator-cache state
+is ``contextvars``-scoped, so the executors produce bitwise-identical
 :class:`~repro.experiments.reporting.ExperimentResult` rows — parallelism and
 caching change wall-clock only.  The determinism tests assert this for the
 quick table3/figure4 grids across all three executors with the cache on and
@@ -22,7 +22,6 @@ off.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import os
 import time
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GRID_EXECUTORS as EXECUTORS
 from repro.experiments.presets import ExperimentPreset, get_preset
-from repro.sparse.backend import get_backend_name, use_backend
 from repro.sparse.opcache import OperatorCache, use_operator_cache
 from repro.utils.cache import ArtifactCache, CacheStats, stable_hash
 
@@ -82,17 +80,9 @@ class CellSpec:
     def resolve_preset(preset) -> ExperimentPreset:
         return get_preset(preset) if isinstance(preset, str) else preset
 
-    def key(self, backend: Optional[str] = None) -> str:
-        """Content key of the finished cell payload in the artifact cache.
-
-        ``backend`` is the compute-backend selection the cell runs under
-        (defaulting to the ambient context's): backends agree only to ~1e-8,
-        not bitwise, so payloads computed under different backends must never
-        alias in a shared cache.
-        """
-        if backend is None:
-            backend = get_backend_name()
-        return f"cell:{backend}:{stable_hash(self)}"
+    def key(self) -> str:
+        """Content key of the finished cell payload in the artifact cache."""
+        return f"cell:{stable_hash(self)}"
 
 
 @dataclass
@@ -120,12 +110,6 @@ class GridRunner:
         Enables the artifact cache (cell payloads + trained methods) and the
         per-cell propagation-operator cache.  Both are deterministic, so this
         flag trades memory for wall-clock only.
-    backend:
-        Optional compute-backend override applied around every cell
-        (``"dense"`` / ``"sparse"`` / ``"auto"``).  ``None`` inherits the
-        ambient selection — which thread workers receive via context copy and
-        process workers via an explicit re-application of the submitting
-        context's backend name.
     cache_dir:
         Optional directory for the *persistent* artifact tier: entries are
         spilled to disk so repeated CLI invocations (and process-pool
@@ -141,7 +125,6 @@ class GridRunner:
         executor: Optional[str] = None,
         jobs: Optional[int] = None,
         cache: bool = True,
-        backend: Optional[str] = None,
         cache_dir: Optional[str] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         operator_cache: Optional[OperatorCache] = None,
@@ -158,7 +141,6 @@ class GridRunner:
         self.jobs = jobs if jobs is not None else (
             1 if executor == "serial" else _default_jobs()
         )
-        self.backend = backend
         self.cache_enabled = bool(cache) or cache_dir is not None
         self.cache_dir = cache_dir
         self.artifact_cache = artifact_cache if artifact_cache is not None else (
@@ -175,7 +157,6 @@ class GridRunner:
             executor=compute.executor,
             jobs=compute.jobs,
             cache=compute.cache,
-            backend=compute.backend,
             cache_dir=getattr(compute, "cache_dir", None),
             **kwargs,
         )
@@ -191,12 +172,11 @@ class GridRunner:
         through the same runner) are served without executing.
         """
         specs = list(specs)
-        backend = self.backend if self.backend is not None else get_backend_name()
         results: List[Optional[CellResult]] = [None] * len(specs)
         pending: "Dict[CellSpec, List[int]]" = {}
         for index, spec in enumerate(specs):
             if self.artifact_cache is not None:
-                payload = self.artifact_cache.get(spec.key(backend), _MISSING)
+                payload = self.artifact_cache.get(spec.key(), _MISSING)
                 if payload is not _MISSING:
                     self.artifact_cache.record_hit()
                     results[index] = CellResult(spec, payload, cached=True)
@@ -207,7 +187,7 @@ class GridRunner:
         for spec, indices in pending.items():
             payload, duration = executed[spec]
             if self.artifact_cache is not None:
-                self.artifact_cache.put(spec.key(backend), payload)
+                self.artifact_cache.put(spec.key(), payload)
                 self.artifact_cache.record_miss()
             for position, index in enumerate(indices):
                 results[index] = CellResult(
@@ -227,17 +207,13 @@ class GridRunner:
         return self._execute_thread(specs)
 
     def _cell_scope(self):
-        """Backend + operator-cache context applied around one cell."""
-        stack = contextlib.ExitStack()
-        if self.backend is not None:
-            stack.enter_context(use_backend(self.backend))
-        # Explicitly scope the operator cache: enabled runners share theirs,
-        # cache-disabled runners mask any ambient cache so "cache off" means
-        # off (the determinism tests rely on this).
-        stack.enter_context(
-            use_operator_cache(self.operator_cache if self.cache_enabled else None)
-        )
-        return stack
+        """Operator-cache context applied around one cell.
+
+        Enabled runners share their cache; cache-disabled runners mask any
+        ambient cache so "cache off" means off (the determinism tests rely
+        on this).
+        """
+        return use_operator_cache(self.operator_cache if self.cache_enabled else None)
 
     def _execute_one(self, spec: CellSpec) -> Tuple[Dict, float]:
         from repro.experiments.cells import execute_cell
@@ -253,7 +229,7 @@ class GridRunner:
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
                 # Each task runs in a copy of the submitting context so the
-                # ambient backend / autodiff-mode contextvars propagate into
+                # ambient autodiff-mode contextvars propagate into
                 # worker threads.
                 spec: pool.submit(
                     contextvars.copy_context().run, self._execute_one, spec
@@ -265,11 +241,10 @@ class GridRunner:
     def _execute_process(
         self, specs: List[CellSpec]
     ) -> Dict[CellSpec, Tuple[Dict, float]]:
-        backend = self.backend if self.backend is not None else get_backend_name()
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
                 spec: pool.submit(
-                    _process_cell, spec, backend, self.cache_enabled, self.cache_dir
+                    _process_cell, spec, self.cache_enabled, self.cache_dir
                 )
                 for spec in specs
             }
@@ -284,7 +259,7 @@ class GridRunner:
 
 
 def _process_cell(
-    spec: CellSpec, backend: str, cache: bool, cache_dir: Optional[str] = None
+    spec: CellSpec, cache: bool, cache_dir: Optional[str] = None
 ) -> Tuple[Dict, float]:
     """Top-level process-executor entry point (must be picklable by name).
 
@@ -296,14 +271,13 @@ def _process_cell(
     from repro.experiments.cells import execute_cell
 
     start = time.perf_counter()
-    with use_backend(backend):
-        with use_operator_cache(OperatorCache() if cache else None):
-            payload = execute_cell(
-                spec,
-                artifact_cache=(
-                    ArtifactCache(directory=cache_dir) if cache else None
-                ),
-            )
+    with use_operator_cache(OperatorCache() if cache else None):
+        payload = execute_cell(
+            spec,
+            artifact_cache=(
+                ArtifactCache(directory=cache_dir) if cache else None
+            ),
+        )
     return payload, time.perf_counter() - start
 
 

@@ -34,9 +34,9 @@ def bias_metric(
         ``(N, C)`` model outputs (softmax probabilities in the paper).
     similarity:
         ``(N, N)`` symmetric similarity matrix ``S`` — dense, or a
-        :class:`repro.sparse.CSRMatrix` (the sparse attack path), in which
-        case the quadratic form is evaluated through the CSR Laplacian in
-        O(nnz · C) without densifying.
+        :class:`repro.sparse.CSRMatrix` (what :func:`bias_from_graph` and the
+        evaluation pipeline pass), in which case the quadratic form is
+        evaluated through the CSR Laplacian in O(nnz · C) without densifying.
     normalize:
         When True the trace is divided by the number of nonzero similarity
         entries, making values comparable across graph sizes (the paper
@@ -66,7 +66,7 @@ def bias_metric(
 def bias_from_graph(
     predictions: np.ndarray, graph: Graph, normalize: bool = True
 ) -> float:
-    """Bias of ``predictions`` using the graph's (backend-aware) Jaccard similarity."""
+    """Bias of ``predictions`` through the CSR Laplacian of the graph's Jaccard similarity."""
     similarity = graph_similarity(graph)
     return bias_metric(predictions, similarity, normalize=normalize)
 

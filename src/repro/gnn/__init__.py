@@ -2,8 +2,7 @@
 
 These are the victim models of the paper's experiments.  They are built on
 the :mod:`repro.nn` autodiff substrate and accept dense or CSR adjacency;
-propagation dispatches through the :mod:`repro.sparse` compute backend
-(``dense`` / ``sparse`` / ``auto``).
+GCN and GraphSAGE propagate with :mod:`repro.sparse`'s CSR operators.
 """
 
 from repro.gnn.layers import GCNConv, GATConv, SAGEConv
@@ -12,7 +11,6 @@ from repro.gnn.normalization import (
     build_propagation,
     gcn_norm,
     left_norm,
-    mean_aggregation_matrix,
     row_normalize_features,
 )
 from repro.gnn.sampling import BatchSpec, NeighborSampler, SampledBlock, block_propagation
@@ -45,7 +43,6 @@ __all__ = [
     "build_propagation",
     "gcn_norm",
     "left_norm",
-    "mean_aggregation_matrix",
     "row_normalize_features",
     "Trainer",
     "TrainConfig",

@@ -9,7 +9,7 @@ online serving engine and the trainer's sampled evaluation share: build the
 field — ``O(|nodes| · Π fanouts)`` when sampled — instead of the graph size.
 
 With exhaustive fanouts the result *equals* the full-graph forward restricted
-to ``nodes`` (to 1e-8 on both compute backends; asserted by the serving and
+to ``nodes`` (to 1e-8; asserted by the serving and
 sampled-evaluation tests).  Sampled fanouts use the keyed per-destination
 sampler, so a node's logits are a pure function of ``(node, fanouts, key)``
 — independent of which other nodes share the request batch.

@@ -3,8 +3,8 @@
 Each layer operates on a dense node-representation tensor ``(N, F)`` and a
 graph *propagation operator* derived from the adjacency matrix.  An operator
 is anything exposing ``matmul(tensor) -> Tensor`` for a fixed constant
-matrix: a plain :class:`~repro.nn.tensor.Tensor`, or a backend-built
-:data:`~repro.sparse.backend.PropagationOperator` (dense or CSR).  No
+matrix: a plain :class:`~repro.nn.tensor.Tensor`, or a CSR
+:class:`~repro.sparse.backend.SparseOperator`.  No
 gradient flows through the graph structure, which matches the victim models
 of the paper: structure enters only through the fixed propagation matrices.
 """
@@ -19,10 +19,10 @@ from repro.nn import functional as F
 from repro.nn import init as init_schemes
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, concatenate
-from repro.sparse.backend import PropagationOperator
+from repro.sparse.backend import SparseOperator
 from repro.utils.rng import RandomState, ensure_rng
 
-Propagation = Union[Tensor, PropagationOperator]
+Propagation = Union[Tensor, SparseOperator]
 """Anything applying a fixed graph operator via ``.matmul(tensor)``."""
 
 
@@ -30,7 +30,7 @@ class GCNConv(Module):
     """Graph convolution of Kipf & Welling: ``σ(Â X W)``.
 
     The propagation operator ``Â`` (symmetric-normalised adjacency with
-    self-loops, dense or sparse) is supplied at call time so the same layer
+    self-loops) is supplied at call time so the same layer
     can be used on the original and on a perturbed graph, as PPFR's
     fine-tuning phase requires.
     """

@@ -10,10 +10,9 @@ tensor.  Model outputs for the attacks and fairness metrics are the softmax
 probabilities of those logits.
 
 GCN and GraphSAGE build their propagation operators through
-:func:`repro.gnn.normalization.build_propagation`, so the active compute
-backend (``dense`` / ``sparse`` / ``auto``) decides whether message passing
-runs as a dense matmul or a CSR ``spmm``.  GAT's all-pairs attention is
-inherently dense and always takes the dense path.
+:func:`repro.gnn.normalization.build_propagation`, so message passing is a
+CSR ``spmm``.  GAT's all-pairs attention is inherently dense and always
+takes the dense path.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ from repro.gnn.normalization import attention_mask, build_propagation
 from repro.nn import functional as F
 from repro.nn.module import Dropout, Module
 from repro.nn.tensor import Tensor
-from repro.sparse.backend import (
-    DenseOperator,
-    PropagationOperator,
-    SparseOperator,
-    resolve_backend,
-)
+from repro.sparse.backend import SparseOperator
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.opcache import cached_build
 from repro.utils.rng import RandomState, ensure_rng, spawn_children
@@ -254,7 +248,7 @@ class GraphSAGE(GNNModel):
         self.num_samples = num_samples
         self._sample_rng = rng_sample
 
-    def _sampled_aggregation(self, adjacency: AdjacencyLike) -> PropagationOperator:
+    def _sampled_aggregation(self, adjacency: AdjacencyLike) -> SparseOperator:
         """Neighbourhood mean over at most ``num_samples`` neighbours per node.
 
         Rows with more neighbours draw their subset with one ``rng.choice``
@@ -262,9 +256,7 @@ class GraphSAGE(GNNModel):
         CSR structure of ``adjacency``, memoised per revision for dense
         input).  The operator holds ``1/deg`` on every kept entry, ignoring
         edge weights, and is intentionally non-symmetric: each node samples
-        its own incoming aggregation set.  Its backend is the one
-        :func:`build_propagation` resolves for the sample laid out like
-        ``adjacency``.
+        its own incoming aggregation set.
         """
         if isinstance(adjacency, CSRMatrix):
             neighbors = adjacency
@@ -291,9 +283,7 @@ class GraphSAGE(GNNModel):
         sample = CSRMatrix._from_parts(
             sample_indptr, neighbors.indices[keep], np.repeat(inverse, counts), neighbors.shape
         )
-        if resolve_backend(adjacency, nnz=sample.nnz).name == "sparse":
-            return SparseOperator(sample)
-        return DenseOperator(sample.to_dense())
+        return SparseOperator(sample)
 
     def forward(self, features: ArrayOrTensor, adjacency: AdjacencyLike) -> Tensor:
         x = _as_tensor(features)
@@ -306,7 +296,7 @@ class GraphSAGE(GNNModel):
             # against both revisions (Graph tags its features).
             neighbor_mean = cached_build(
                 (adjacency, features),
-                ("mean_noself", aggregation.backend),
+                ("mean_noself",),
                 lambda: _frozen(aggregation.matmul(x)),
             )
         x = self.conv0.combine(x, neighbor_mean)

@@ -1,11 +1,9 @@
 """Adjacency and feature normalisation used by the GNN layers.
 
-All propagation-matrix builders dispatch on the input type: dense arrays
-take the original dense path, :class:`repro.sparse.CSRMatrix` inputs are
-routed to the CSR kernels.  Models should prefer
-:func:`build_propagation`, which additionally consults the active compute
-backend (``dense`` / ``sparse`` / ``auto``) so the whole pipeline can be
-switched without touching layer code.
+Models build their propagation operators with :func:`build_propagation`,
+which always yields a CSR operator.  :func:`gcn_norm` and :func:`left_norm`
+dispatch on the input type: CSR inputs go to the CSR kernels, dense arrays
+to the dense NumPy formula, which the scaling benchmarks use as reference.
 """
 
 from __future__ import annotations
@@ -15,9 +13,8 @@ from typing import Union
 import numpy as np
 
 from repro.graphs.laplacian import gcn_normalization
-from repro.sparse.backend import PropagationOperator, build_propagation
+from repro.sparse.backend import SparseOperator, build_propagation
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import mean_aggregation_csr
 from repro.utils.validation import check_adjacency
 
 AdjacencyLike = Union[np.ndarray, CSRMatrix]
@@ -25,11 +22,10 @@ AdjacencyLike = Union[np.ndarray, CSRMatrix]
 __all__ = [
     "gcn_norm",
     "left_norm",
-    "mean_aggregation_matrix",
     "attention_mask",
     "row_normalize_features",
     "build_propagation",
-    "PropagationOperator",
+    "SparseOperator",
 ]
 
 
@@ -41,27 +37,6 @@ def gcn_norm(adjacency: AdjacencyLike) -> AdjacencyLike:
 def left_norm(adjacency: AdjacencyLike) -> AdjacencyLike:
     """Left-normalised propagation ``D̃^{-1}(A+I)`` (paper's risk model)."""
     return gcn_normalization(adjacency, mode="left")
-
-
-def mean_aggregation_matrix(
-    adjacency: AdjacencyLike, include_self: bool = True
-) -> AdjacencyLike:
-    """Row-stochastic neighbourhood-mean operator used by GraphSAGE.
-
-    With ``include_self=False`` the matrix averages over neighbours only
-    (self information is concatenated separately by the SAGE layer).
-    Isolated nodes receive an all-zero row.
-    """
-    if isinstance(adjacency, CSRMatrix):
-        return mean_aggregation_csr(adjacency, include_self=include_self)
-    adjacency = check_adjacency(adjacency)
-    base = adjacency.copy()
-    if include_self:
-        base = base + np.eye(base.shape[0])
-    degrees = base.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.where(degrees > 0, base / degrees, 0.0)
-    return result
 
 
 def attention_mask(adjacency: np.ndarray) -> np.ndarray:

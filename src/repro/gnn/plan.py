@@ -1,16 +1,16 @@
 """Trace-compiled fused inference plans for sampled ego-block serving.
 
 The module-tree forward pays pure Python overhead on every cold-miss
-request: ``Module.__call__`` traversal, one autodiff tape node per tensor
-op, and a backend-registry lookup per propagation.  This module removes all
-of it from the serving hot path with the trace-once/replay-many idiom
-(drjit's ``JitFlag.LoopRecord`` applied to inference):
+request: ``Module.__call__`` traversal and one autodiff tape node per
+tensor op.  This module removes both from the serving hot path with the
+trace-once/replay-many idiom (drjit's ``JitFlag.LoopRecord`` applied to
+inference):
 
 * **Recording** — a model exports its inference-time computation once
   through the kernel-extraction hooks (``Module.plan_kernels`` /
   ``GNNModel.record_inference_plan``) into a :class:`PlanRecorder`, which
   assembles a flat :class:`InferencePlan`: an ordered tuple of pre-resolved
-  backend kernels (dense matmul, spmm, bias add, ReLU, stable row
+  kernels (dense matmul, spmm, bias add, ReLU, stable row
   normalisation, fused SAGE layer) bound to the model's parameter arrays.
   Architectures without a flat kernel decomposition (GAT's data-dependent
   attention) raise :class:`PlanUnsupported` and keep their fallback path.
@@ -24,14 +24,13 @@ of it from the serving hot path with the trace-once/replay-many idiom
 * **Replay** — :meth:`InferencePlan.replay` executes the kernel list as
   plain NumPy over a :class:`PackedBatch`: no module traversal, no tape, no
   registry lookups, with matmul outputs written into preallocated
-  shape-bucketed scratch buffers (:class:`BufferPool`).  On the sparse
-  backend each output row is bitwise equal to the unfused
-  ``predict_logits_blocks`` row for the same blocks; the dense backend
-  agrees to floating-point round-off.
+  shape-bucketed scratch buffers (:class:`BufferPool`).  Each output row
+  is bitwise equal to the unfused ``predict_logits_blocks`` row for the
+  same blocks.
 
 Plans are cached process-wide in :func:`shared_plan_cache` (surfaced as
 ``ModelRegistry.plan_cache()``) keyed by ``(architecture signature hash,
-parameter content hash, backend)`` — a registry hot-swap rebinds parameter
+parameter content hash)`` — a registry hot-swap rebinds parameter
 arrays, changes the content hash and therefore records a fresh plan instead
 of replaying stale weights.
 """
@@ -174,10 +173,9 @@ def plan_params_hash(model) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass
 class PackedLayer:
-    """One layer's propagation operator (CSR, or its densified form on the
-    dense backend) and its destination row count."""
+    """One layer's CSR propagation operator and its destination row count."""
 
-    matrix: object
+    matrix: CSRMatrix
     num_dst: int
 
 
@@ -192,7 +190,6 @@ class PackedBatch:
 def pack_blocks(
     blocks: Sequence[SampledBlock],
     kinds: Sequence[str],
-    dense: bool = False,
 ) -> PackedBatch:
     """Pack one ego-block stack (input layer first) for replay.
 
@@ -207,10 +204,7 @@ def pack_blocks(
             )
         layers = []
         for block, kind in zip(blocks, kinds):
-            matrix = block_propagation(block, kind)
-            layers.append(
-                PackedLayer(matrix.to_dense() if dense else matrix, block.num_dst)
-            )
+            layers.append(PackedLayer(block_propagation(block, kind), block.num_dst))
         return PackedBatch(blocks[0].src_nodes, tuple(layers))
 
 
@@ -335,10 +329,7 @@ def _run_op(
             return x @ payload
         return np.matmul(x, payload, out=out)
     if op == "prop":
-        matrix = packed.layers[payload].matrix
-        if isinstance(matrix, CSRMatrix):
-            return matrix.matmul_dense(x)
-        return matrix @ x
+        return packed.layers[payload].matrix.matmul_dense(x)
     if op == "bias":
         return np.add(x, payload, out=x)
     if op == "relu":
@@ -351,11 +342,7 @@ def _run_op(
     if op == "sage":
         layer_index, w_self, w_neigh, bias = payload
         layer = packed.layers[layer_index]
-        aggregated = (
-            layer.matrix.matmul_dense(x)
-            if isinstance(layer.matrix, CSRMatrix)
-            else layer.matrix @ x
-        )
+        aggregated = layer.matrix.matmul_dense(x)
         x = x[: layer.num_dst] @ w_self + aggregated @ w_neigh
         if bias is not None:
             x = np.add(x, bias, out=x)
@@ -371,8 +358,7 @@ def _cost_args(op: str, payload, x: np.ndarray, packed: PackedBatch) -> tuple:
     if op in ("prop", "sage"):
         # CSR propagation fires the nested spmm kernel, which already
         # carries the flops — don't double count.
-        matrix = packed.layers[payload if op == "prop" else payload[0]].matrix
-        return () if isinstance(matrix, CSRMatrix) else (matrix, x)
+        return ()
     return (x,)
 
 
@@ -382,8 +368,8 @@ def _cost_args(op: str, payload, x: np.ndarray, packed: PackedBatch) -> tuple:
 class PlanCache:
     """Thread-safe LRU of recorded plans, shared across engine replicas.
 
-    Keys are ``(architecture signature hash, parameter content hash,
-    backend)`` — see the module docstring for why the parameter hash makes
+    Keys are ``(architecture signature hash, parameter content hash)`` —
+    see the module docstring for why the parameter hash makes
     registry hot-swaps self-invalidating.
     """
 

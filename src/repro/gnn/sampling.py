@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sparse.backend import DenseOperator, SparseOperator, resolve_backend
+from repro.sparse.backend import SparseOperator
 from repro.sparse.csr import CSRMatrix, gather_row_positions
 from repro.utils.validation import check_adjacency
 
@@ -146,21 +146,14 @@ class SampledBlock:
         """The normalised ``(num_dst, num_src)`` propagation block for ``kind``."""
         return block_propagation(self, kind)
 
-    def operator(self, kind: str):
-        """Backend-wrapped propagation operator for this block.
+    def operator(self, kind: str) -> SparseOperator:
+        """This block's propagation operator, applied with the autodiff ``spmm``.
 
-        Honours the ambient compute-backend selection: the dense backend gets
-        a :class:`DenseOperator` over the densified block, everything else
-        (sparse, and ``auto`` — the block is already CSR) applies the block
-        with the autodiff ``spmm``.  Blocks bypass
-        :func:`~repro.sparse.backend.build_propagation` entirely, so the
-        full-graph propagation-operator cache never sees batch-local
-        structure.
+        Blocks bypass :func:`~repro.sparse.backend.build_propagation`
+        entirely, so the full-graph propagation-operator cache never sees
+        batch-local structure.
         """
-        matrix = self.propagation(kind)
-        if resolve_backend(self.adjacency).name == "dense":
-            return DenseOperator(matrix.to_dense())
-        return SparseOperator(matrix)
+        return SparseOperator(self.propagation(kind))
 
     def fingerprint(self) -> bytes:
         """Byte-exact content of the block (determinism tests)."""

@@ -8,21 +8,17 @@ The paper's theoretical argument partitions node pairs by the hop distance
 * ``k > 2`` — unconnected pairs with zero similarity,
 * ``k = ∞`` — disconnected pairs.
 
-These helpers compute hop distances with a BFS over the adjacency structure
-and expose the analytic 2-hop ratio of Eq. (5).  BFS dispatches through the
-compute backend: CSR inputs (and dense graphs the ``auto`` heuristic deems
-large and sparse) use the frontier BFS over CSR adjacency lists, everything
-else takes the original dense-row scan.
+These helpers compute hop distances with a frontier BFS over CSR adjacency
+lists (a dense adjacency is converted first) and expose the analytic 2-hop
+ratio of Eq. (5).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from repro.sparse.backend import resolve_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import INF_HOPS, gather_neighbors, shortest_path_hops_csr
 from repro.utils.validation import check_adjacency
@@ -40,8 +36,8 @@ __all__ = [
     "connected_unconnected_split",
 ]
 # INF_HOPS (the marker for node pairs with no connecting path) is defined in
-# repro.sparse.ops — the layer both BFS implementations share — and
-# re-exported here, its historical public home.
+# repro.sparse.ops, next to the BFS, and re-exported here, its historical
+# public home.
 
 
 def shortest_path_hops(adjacency: AdjacencyLike) -> np.ndarray:
@@ -49,28 +45,15 @@ def shortest_path_hops(adjacency: AdjacencyLike) -> np.ndarray:
 
     Returns an ``(N, N)`` integer matrix whose ``(i, j)`` entry is the number
     of edges on the shortest path, ``0`` on the diagonal and :data:`INF_HOPS`
-    for unreachable pairs.  The result is identical on both backends (integer
-    hop counts have no round-off).
+    for unreachable pairs.
     """
+    return shortest_path_hops_csr(_as_csr(adjacency))
+
+
+def _as_csr(adjacency: AdjacencyLike) -> CSRMatrix:
     if isinstance(adjacency, CSRMatrix):
-        return shortest_path_hops_csr(adjacency)
-    adjacency = check_adjacency(adjacency)
-    if resolve_backend(adjacency).name == "sparse":
-        return shortest_path_hops_csr(CSRMatrix.from_dense(adjacency))
-    n = adjacency.shape[0]
-    neighbors = [np.nonzero(adjacency[i])[0] for i in range(n)]
-    hops = np.full((n, n), INF_HOPS, dtype=np.int64)
-    for source in range(n):
-        hops[source, source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            next_hop = hops[source, node] + 1
-            for neighbor in neighbors[node]:
-                if hops[source, neighbor] == INF_HOPS:
-                    hops[source, neighbor] = next_hop
-                    queue.append(neighbor)
-    return hops
+        return adjacency
+    return CSRMatrix.from_dense(check_adjacency(adjacency))
 
 
 def khop_frontier(adjacency: AdjacencyLike, seeds: np.ndarray, hops: int) -> np.ndarray:
@@ -85,9 +68,7 @@ def khop_frontier(adjacency: AdjacencyLike, seeds: np.ndarray, hops: int) -> np.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    csr = adjacency if isinstance(adjacency, CSRMatrix) else CSRMatrix.from_dense(
-        check_adjacency(adjacency)
-    )
+    csr = _as_csr(adjacency)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.size and (seeds.min() < 0 or seeds.max() >= csr.shape[0]):
         raise ValueError("seed index out of bounds")

@@ -4,11 +4,12 @@
 of the *similarity* matrix; GCN propagation uses symmetric / left-normalised
 adjacency with self-loops.  Both live here.
 
-Every function dispatches on the input type: dense ``(N, N)`` arrays take
-the original dense path and return dense arrays, while
-:class:`repro.sparse.CSRMatrix` inputs are routed to the equivalent sparse
-kernels in :mod:`repro.sparse.ops` and return CSR matrices — so callers can
-stay backend-agnostic.
+Every function dispatches on the input type: :class:`repro.sparse.CSRMatrix`
+inputs are routed to the CSR kernels in :mod:`repro.sparse.ops` and return
+CSR matrices, which is what the propagation operators and the evaluation
+bias use; dense ``(N, N)`` arrays take the dense NumPy formula, which the
+similarity-weighted fairness terms and the scaling benchmarks' references
+use.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Revision tagging of adjacency structures for operator caching.
 
-The compute backend memoises propagation operators (GCN normalisation,
-Laplacians, neighbourhood means) so that repeated forward passes over the
-same structure — every epoch of vanilla training, every PPFR fine-tune step —
-stop rebuilding them.  Caching a derived operator is only sound if the cache
-key changes whenever the underlying structure changes, so this module
-maintains a process-wide *revision registry*:
+The operator cache (:mod:`repro.sparse.opcache`) memoises propagation
+operators (GCN normalisation, Laplacians, neighbourhood means) so that
+repeated forward passes over the same structure — every epoch of vanilla
+training, every PPFR fine-tune step — stop rebuilding them.  Caching a
+derived operator is only sound if the cache key changes whenever the
+underlying structure changes, so this module maintains a process-wide
+*revision registry*:
 
 * every :class:`repro.graphs.Graph` tags its adjacency and its feature
   matrix with fresh, monotonically increasing revision ids at construction

@@ -76,21 +76,14 @@ def jaccard_for_pairs(
     return jaccard_pairs_csr(csr, pairs, include_self_loops=include_self_loops)
 
 
-def graph_similarity(graph) -> MatrixLike:
-    """Backend-aware Jaccard similarity of a :class:`repro.graphs.Graph`.
+def graph_similarity(graph) -> CSRMatrix:
+    """Jaccard similarity of a :class:`repro.graphs.Graph`, in CSR form.
 
-    Resolves the active compute backend for the graph's adjacency: the sparse
-    backend (or ``auto`` on a large low-density graph) computes the similarity
-    from the graph's cached CSR view and keeps it in CSR form, everything else
-    takes the dense reference path.  This is the single entry point the
-    evaluation pipeline uses, so ``--backend`` switches the whole
-    similarity/bias path along with propagation.
+    Computed from the graph's cached CSR view by neighbour intersection, so
+    it costs O(Σ deg²) and never materialises an ``(N, N)`` matrix.  This is
+    the single entry point the evaluation pipeline uses for the bias metric.
     """
-    from repro.sparse.backend import resolve_backend
-
-    if resolve_backend(graph.adjacency).name == "sparse":
-        return jaccard_similarity(graph.csr())
-    return jaccard_similarity(graph.adjacency)
+    return jaccard_similarity_csr(graph.csr())
 
 
 def cosine_feature_similarity(features: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -6,8 +6,8 @@ tensor-valued function against central finite differences of the scalar
 are exercised along a generic direction rather than the all-ones one.
 
 The gradcheck test suite (``tests/test_gradcheck.py``) drives this over
-every primitive registered in :mod:`repro.nn.autodiff`, on both the dense
-and sparse propagation backends.
+every primitive registered in :mod:`repro.nn.autodiff`, including the CSR
+propagation ``spmm``.
 """
 
 from __future__ import annotations

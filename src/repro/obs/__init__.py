@@ -5,7 +5,7 @@ cache behaviour) become *operational* here:
 
 * :mod:`repro.obs.metrics` — process-wide registry of counters, gauges and
   log-bucket histograms with streaming p50/p90/p99, contextvar-scoped like
-  the compute-backend registry.  Every legacy stats surface
+  the operator cache.  Every legacy stats surface
   (``BatcherStats``, ``LogitCacheStats``, ``ClusterStats``,
   ``OperatorCacheStats``, ``CacheStats``, the autodiff tape's
   ``GraphStats``) is now a thin view over it;

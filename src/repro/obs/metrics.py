@@ -20,7 +20,7 @@ they all hang off now:
   snapshots without paying registry costs per increment.
 
 The active registry is dynamically scoped through a
-:class:`contextvars.ContextVar` — mirroring the compute-backend registry —
+:class:`contextvars.ContextVar` — mirroring the operator cache scope —
 and defaults to one process-global instance, so library code simply calls
 :func:`active_metrics` at construction time.
 """
@@ -511,7 +511,7 @@ def active_metrics() -> MetricsRegistry:
 def use_metrics(registry: Optional[MetricsRegistry]) -> Iterator[MetricsRegistry]:
     """Scope ``registry`` as the active metrics registry (``None`` = global).
 
-    Mirrors :func:`repro.sparse.backend.use_backend`: dynamically scoped so
+    Mirrors :func:`repro.sparse.opcache.use_operator_cache`: dynamically scoped so
     parallel runners and tests can isolate their metrics without touching
     each other's counters.
     """

@@ -228,8 +228,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # ComputeConfig is the shared validation surface for compute selection;
-    # the --shards flag goes through it like --backend/--jobs do elsewhere.
+    # ComputeConfig is the shared validation surface for compute selection
+    # (shards here, executor and jobs for the experiment grid).
     try:
         shards = ComputeConfig(shards=args.shards).shards
     except ValueError as error:

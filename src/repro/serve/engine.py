@@ -49,7 +49,6 @@ from repro.graphs.khop import khop_frontier
 from repro.obs.metrics import active_metrics, next_instance
 from repro.obs.trace import span as obs_span
 from repro.serve.session import GraphSession, MutationEvent
-from repro.sparse.backend import get_backend_name
 from repro.utils.cache import stable_hash
 
 __all__ = [
@@ -388,8 +387,8 @@ class InferenceEngine:
             self._full_memo = (revision, full)
         return full
 
-    def _plan_key(self) -> Tuple[str, str, str]:
-        """``(architecture hash, parameter content hash, backend)`` — the
+    def _plan_key(self) -> Tuple[str, str]:
+        """``(architecture hash, parameter content hash)`` — the
         shared plan-cache key for this engine's model right now.
 
         The parameter hash is recomputed only when a parameter array is
@@ -417,8 +416,7 @@ class InferenceEngine:
                         for name, param in params
                     ]
                 )
-        backend = "dense" if get_backend_name() == "dense" else "sparse"
-        return (self._sig_hash, self._params_hash, backend)
+        return (self._sig_hash, self._params_hash)
 
     def _compute(
         self, nodes: np.ndarray, sampler: NeighborSampler, key: int
@@ -451,8 +449,7 @@ class InferenceEngine:
                     self.session.features, blocks
                 )
 
-        dense = get_backend_name() == "dense"
-        packed = pack_blocks(blocks, plan.kinds, dense=dense)
+        packed = pack_blocks(blocks, plan.kinds)
         with self._plan_lock:
             rows = plan.replay(self.session.features, packed, self._buffers)
             if not fresh:

@@ -108,7 +108,7 @@ class ModelRegistry:
         """The process-wide fused inference-plan cache.
 
         Plans are keyed by ``(architecture signature hash, parameter content
-        hash, backend)`` — the same :func:`model_signature` that names a
+        hash)`` — the same :func:`model_signature` that names a
         registry entry — so every engine replica serving one registry version
         records the plan once and replays it thereafter, and loading a new
         version (new parameter hash) records a fresh plan instead of

@@ -1,12 +1,10 @@
-"""Sparse graph compute backend.
+"""Sparse graph compute: CSR matrices, kernels and propagation operators.
 
 A CSR matrix type whose products run on SciPy's compiled CSR kernel, sparse
 counterparts of the library's dense graph kernels (propagation
-normalisations, Laplacians, k-hop BFS), an autodiff-integrated ``spmm`` and a
-pluggable dense/sparse backend registry.
-The registry defaults to ``"auto"``, which keeps small graphs on the exact
-dense reference path and switches large low-density graphs to CSR — every
-table/figure pipeline runs unmodified on either backend.
+normalisations, Laplacians, k-hop BFS), an autodiff-integrated ``spmm`` and
+the propagation operators every GNN layer applies.  CSR is the only
+propagation path.
 """
 
 from repro.sparse.csr import CSRMatrix
@@ -34,23 +32,7 @@ from repro.sparse.opcache import (
     active_operator_cache,
     use_operator_cache,
 )
-from repro.sparse.backend import (
-    AUTO_MAX_DENSITY,
-    AUTO_MIN_NODES,
-    ComputeBackend,
-    DenseBackend,
-    DenseOperator,
-    SparseBackend,
-    SparseOperator,
-    available_backends,
-    build_propagation,
-    get_backend,
-    get_backend_name,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.sparse.backend import SparseOperator, build_propagation, use_backend
 
 __all__ = [
     "CSRMatrix",
@@ -75,19 +57,7 @@ __all__ = [
     "OperatorCacheStats",
     "active_operator_cache",
     "use_operator_cache",
-    "AUTO_MAX_DENSITY",
-    "AUTO_MIN_NODES",
-    "ComputeBackend",
-    "DenseBackend",
-    "DenseOperator",
-    "SparseBackend",
     "SparseOperator",
-    "available_backends",
     "build_propagation",
-    "get_backend",
-    "get_backend_name",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
     "use_backend",
 ]

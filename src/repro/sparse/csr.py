@@ -1,4 +1,4 @@
-"""The sparse backend's CSR (compressed sparse row) matrix.
+"""The CSR (compressed sparse row) matrix every graph operator runs on.
 
 A small immutable container for the operations the graph pipelines need —
 construction from edge lists / dense arrays / COO triplets, transposition,

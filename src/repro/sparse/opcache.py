@@ -1,20 +1,20 @@
 """Memoisation of constant graph work keyed by graph revision.
 
 Building a propagation operator — GCN symmetric normalisation, left
-normalisation, GraphSAGE neighbourhood means — costs O(N²) on the dense path
-and O(m) on CSR, and the training loop rebuilds it on *every* forward pass:
+normalisation, GraphSAGE neighbourhood means — costs O(m) on CSR (plus an
+O(N²) scan to convert a dense adjacency), and the training loop rebuilds it on *every* forward pass:
 each vanilla epoch, each PPFR fine-tune step, each per-epoch evaluation.
 This module adds a dynamically-scoped cache in front of that constant work.
 It holds three kinds of entry:
 
 * propagation operators (:func:`repro.sparse.backend.build_propagation`),
-  keyed by ``(revision, kind, backend_name)``;
+  keyed by ``(revision, kind)``;
 * neighbour lists of a dense adjacency — its CSR structure, which
   GraphSAGE's training-mode sampler draws from — keyed by
   ``(revision, "neighbors")``;
 * an operator applied to a feature matrix — GraphSAGE's input-layer
   neighbourhood mean outside sampled training — keyed by
-  ``(revision, features_revision, kind, backend_name)``.
+  ``(revision, features_revision, kind)``.
 
 Soundness rests on the revisions:
 
@@ -26,10 +26,10 @@ Soundness rests on the revisions:
   feature matrix; untagged features (a caller's perturbed copy, say) are
   never cached;
 * the active cache is a :class:`contextvars.ContextVar`, mirroring the
-  backend selection and autodiff mode flags, so parallel grid executors can
-  scope caches per cell without interference;
-* storage is a small thread-safe LRU — dense operators are O(N²) arrays, so
-  the cache bounds its footprint instead of growing with the experiment grid.
+  autodiff mode flag, so parallel grid executors can scope caches per cell
+  without interference;
+* storage is a small thread-safe LRU, so the cache bounds its footprint
+  instead of growing with the experiment grid.
 
 Every entry is built deterministically from its tagged inputs, so enabling
 the cache changes wall-clock only, never results (the equivalence is

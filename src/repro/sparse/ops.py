@@ -1,12 +1,10 @@
-"""Sparse graph kernels mirroring the dense reference implementations.
+"""Sparse graph kernels: the CSR operators the graph pipelines run on.
 
-Every function here is the CSR counterpart of a dense kernel elsewhere in
-the library (:mod:`repro.graphs.laplacian`, :mod:`repro.gnn.normalization`,
-:mod:`repro.graphs.khop`).  The pair is kept numerically equivalent — the
-property tests in ``tests/test_sparse_equivalence.py`` assert agreement on
-random graphs including isolated-node and empty-graph edge cases — so the
-backend registry can swap one for the other without changing any result
-beyond floating-point round-off.
+Propagation normalisations, Laplacians, Jaccard similarity, hop-distance
+BFS and the structure edits of a serving session.  The property tests in
+``tests/test_sparse_equivalence.py`` check each kernel against a dense
+NumPy formula on random graphs, including isolated-node and empty-graph
+edge cases.
 """
 
 from __future__ import annotations

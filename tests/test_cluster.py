@@ -7,8 +7,8 @@ Acceptance properties:
 * **full replicas** — after any mix of mutations every worker's structure
   and features equal the global session's byte for byte;
 * **exhaustive equivalence** — router predictions equal the single-process
-  engine (and therefore the offline full-graph forward) to 1e-8 on the dense
-  and sparse backends, for GCN and GraphSAGE, through in-process and
+  engine (and therefore the offline full-graph forward) to 1e-8, for GCN and
+  GraphSAGE, from a dense or a CSR initial structure, through in-process and
   child-process workers alike;
 * **cross-shard consistency** — after ``add_edges`` / ``remove_edges`` /
   ``add_node`` spanning shard boundaries, router answers equal a *fresh*
@@ -37,7 +37,6 @@ from repro.datasets.synthetic import generate_scaling_graph
 from repro.gnn.models import build_model
 from repro.graphs.khop import khop_frontier
 from repro.serve import GraphSession, InferenceEngine, RequestBatcher, ServeConfig
-from repro.sparse.backend import use_backend
 
 NUM_NODES = 320
 NUM_FEATURES = 8
@@ -202,24 +201,26 @@ class TestShardWorker:
 # Router: exhaustive equivalence
 # --------------------------------------------------------------------- #
 class TestRouterEquivalence:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("structure_form", ["dense", "csr"])
     @pytest.mark.parametrize("model_name", ["gcn", "sage"])
     def test_matches_single_process_engine(
-        self, small_graph, gcn_model, sage_model, backend, model_name
+        self, small_graph, gcn_model, sage_model, model_name, structure_form
     ):
         csr, features = small_graph
         model = gcn_model if model_name == "gcn" else sage_model
         rng = np.random.default_rng(1)
         nodes = rng.integers(0, NUM_NODES, size=80)
-        with use_backend(backend):
-            session = GraphSession(csr, features)
-            with ShardRouter(model, session, 3, workers="inproc") as router:
-                reference = _fresh_reference(model, session)
-                np.testing.assert_allclose(
-                    router.predict_logits(nodes),
-                    reference.predict_logits(nodes),
-                    atol=1e-8,
-                )
+        structure = csr.to_dense() if structure_form == "dense" else csr
+        session = GraphSession(structure, features)
+        with ShardRouter(model, session, 3, workers="inproc") as router:
+            # The reference starts from the original CSR, so a dense initial
+            # structure must convert to the same graph.
+            reference = _fresh_reference(model, GraphSession(csr, features))
+            np.testing.assert_allclose(
+                router.predict_logits(nodes),
+                reference.predict_logits(nodes),
+                atol=1e-8,
+            )
 
     def test_matches_offline_full_graph_forward(self, small_graph, gcn_model):
         csr, features = small_graph

@@ -10,7 +10,6 @@ from repro.gnn.normalization import (
     attention_mask,
     gcn_norm,
     left_norm,
-    mean_aggregation_matrix,
     row_normalize_features,
 )
 from repro.gnn.trainer import TrainConfig, Trainer
@@ -18,17 +17,10 @@ from repro.graphs.revision import adjacency_revision
 from repro.fairness.inform import inform_regularizer
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.sparse.backend import (
-    AUTO_MIN_NODES,
-    DenseOperator,
-    SparseOperator,
-    build_propagation,
-    use_backend,
-)
+from repro.sparse.backend import build_propagation
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.opcache import OperatorCache, use_operator_cache
 from repro.sparse.ops import mean_aggregation_csr
-from repro.utils.validation import check_adjacency
 
 
 class TestNormalization:
@@ -41,14 +33,14 @@ class TestNormalization:
         np.testing.assert_allclose(propagation.sum(axis=1), 1.0)
 
     def test_mean_aggregation_without_self(self):
-        adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-        operator = mean_aggregation_matrix(adjacency, include_self=False)
-        np.testing.assert_allclose(operator, [[0.0, 1.0], [1.0, 0.0]])
+        adjacency = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        operator = mean_aggregation_csr(adjacency, include_self=False)
+        np.testing.assert_allclose(operator.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_mean_aggregation_isolated_node_zero_row(self):
-        adjacency = np.zeros((3, 3))
-        operator = mean_aggregation_matrix(adjacency, include_self=False)
-        np.testing.assert_allclose(operator, np.zeros((3, 3)))
+        adjacency = CSRMatrix.from_dense(np.zeros((3, 3)))
+        operator = mean_aggregation_csr(adjacency, include_self=False)
+        np.testing.assert_allclose(operator.to_dense(), np.zeros((3, 3)))
 
     def test_attention_mask_allows_self_and_neighbors(self):
         adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -90,7 +82,7 @@ class TestLayers:
 
     def test_sage_conv_shape(self):
         layer = SAGEConv(6, 4, rng=0)
-        aggregation = Tensor(mean_aggregation_matrix(np.ones((5, 5)) - np.eye(5), include_self=False))
+        aggregation = Tensor((np.ones((5, 5)) - np.eye(5)) / 4.0)
         out = layer(Tensor(np.random.default_rng(0).normal(size=(5, 6))), aggregation)
         assert out.shape == (5, 4)
 
@@ -293,33 +285,14 @@ def _reference_sample_csr(self, adjacency):
     )
 
 
-def _reference_mean_aggregation_matrix(adjacency, include_self=True):
-    if isinstance(adjacency, CSRMatrix):
-        return mean_aggregation_csr(adjacency, include_self=include_self)
-    adjacency = check_adjacency(adjacency)
-    base = adjacency.copy()
-    if include_self:
-        base = base + np.eye(base.shape[0])
-    degrees = base.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.where(degrees > 0, base / degrees, 0.0)
-    return result
-
-
 def _reference_aggregation(model, adjacency):
-    """The old ``GraphSAGE._aggregation``: sample, then ``build_propagation``
-    (whose dense kernel is the verbatim mean operator above)."""
+    """The old ``GraphSAGE._aggregation``: sample, then ``build_propagation``."""
     if model.training and model.num_samples is not None:
         if isinstance(adjacency, CSRMatrix):
             adjacency = _reference_sample_csr(model, adjacency)
         else:
             adjacency = _reference_sample_dense(model, adjacency)
-    operator = build_propagation(adjacency, kind="mean_noself")
-    if isinstance(operator, DenseOperator):
-        dense = adjacency.to_dense() if isinstance(adjacency, CSRMatrix) else adjacency
-        expected = _reference_mean_aggregation_matrix(dense, include_self=False)
-        assert operator.matrix.tobytes() == expected.tobytes()
-    return operator
+    return build_propagation(adjacency, kind="mean_noself")
 
 
 def _sampler_graph(weighted: bool) -> np.ndarray:
@@ -342,9 +315,7 @@ def _sampler_graph(weighted: bool) -> np.ndarray:
 
 def _operator_bytes(operator):
     matrix = operator.matrix
-    if isinstance(matrix, CSRMatrix):
-        return (matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes())
-    return (matrix.tobytes(),)
+    return (matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes())
 
 
 def _twin_sage(num_samples, seed=3):
@@ -355,39 +326,22 @@ def _twin_sage(num_samples, seed=3):
 
 class TestSamplerMatchesPerRowLoops:
     @pytest.mark.parametrize("csr_input", [False, True], ids=["dense", "csr"])
-    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["binary", "weighted"])
     @pytest.mark.parametrize("num_samples", [1, 4, 60])
-    def test_operator_and_rng_state_match(self, csr_input, backend, weighted, num_samples):
+    def test_operator_and_rng_state_match(self, csr_input, weighted, num_samples):
         adjacency = _sampler_graph(weighted)
         if csr_input:
             adjacency = CSRMatrix.from_dense(adjacency)
         new, old = _twin_sage(num_samples)
         new.train()
         old.train()
-        with use_backend(backend):
-            for _ in range(3):  # successive draws keep the streams aligned
-                got = new._sampled_aggregation(adjacency)
-                expected = _reference_aggregation(old, adjacency)
-                assert type(got) is type(expected)
-                assert _operator_bytes(got) == _operator_bytes(expected)
+        for _ in range(3):  # successive draws keep the streams aligned
+            got = new._sampled_aggregation(adjacency)
+            expected = _reference_aggregation(old, adjacency)
+            assert type(got) is type(expected)
+            assert _operator_bytes(got) == _operator_bytes(expected)
         assert new._sample_rng.bit_generator.state == old._sample_rng.bit_generator.state
         assert new._sample_rng.random(3).tobytes() == old._sample_rng.random(3).tobytes()
-
-    def test_auto_backend_resolves_on_the_sample(self):
-        """A large dense graph above auto's density limit goes dense, but its
-        fanout-limited sample is sparse enough for CSR — as before."""
-        n = AUTO_MIN_NODES + 8
-        rng = np.random.default_rng(0)
-        upper = np.triu((rng.random((n, n)) < 0.08).astype(float), k=1)
-        adjacency = upper + upper.T
-        new, old = _twin_sage(5)
-        new.train()
-        old.train()
-        got = new._sampled_aggregation(adjacency)
-        expected = _reference_aggregation(old, adjacency)
-        assert isinstance(got, SparseOperator) and isinstance(expected, SparseOperator)
-        assert _operator_bytes(got) == _operator_bytes(expected)
 
     @pytest.mark.parametrize("csr_input", [False, True], ids=["dense", "csr"])
     @pytest.mark.parametrize("num_samples", [4, None])
@@ -421,16 +375,14 @@ class TestConstantWorkCache:
         with use_operator_cache(None):
             return model.predict_logits(features, adjacency)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_cached_eval_forward_is_bitwise_uncached(self, tiny_graph, backend):
+    def test_cached_eval_forward_is_bitwise_uncached(self, tiny_graph):
         model = self._sage(tiny_graph)
         graph = tiny_graph.copy()
-        with use_backend(backend):
-            expected = self._uncached(model, graph.features, graph.adjacency)
-            with use_operator_cache(OperatorCache()):
-                for _ in range(3):
-                    got = model.predict_logits(graph.features, graph.adjacency)
-                    assert got.tobytes() == expected.tobytes()
+        expected = self._uncached(model, graph.features, graph.adjacency)
+        with use_operator_cache(OperatorCache()):
+            for _ in range(3):
+                got = model.predict_logits(graph.features, graph.adjacency)
+                assert got.tobytes() == expected.tobytes()
 
     def test_repeated_eval_forwards_hit(self, tiny_graph):
         model = self._sage(tiny_graph)

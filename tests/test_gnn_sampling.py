@@ -3,8 +3,8 @@
 The acceptance properties of the subsystem mirror the grid engine's:
 
 * **equivalence** — exhaustive fanouts + a single batch covering the train
-  nodes reproduce the full-batch forward logits to 1e-8 under both the
-  dense and the sparse compute backend, for GCN and GraphSAGE;
+  nodes reproduce the full-batch forward logits to 1e-8, from a dense or a
+  CSR adjacency, for GCN and GraphSAGE;
 * **determinism** — the batch schedule and every sampled block are pure
   functions of ``(seed, epoch, batch_index)``, so serial, thread-pool and
   process-pool execution produce byte-identical structures (the PR-2
@@ -39,7 +39,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.khop import khop_frontier
 from repro.graphs.revision import adjacency_revision
 from repro.sparse import OperatorCache, use_operator_cache
-from repro.sparse.backend import build_propagation, use_backend
+from repro.sparse.backend import build_propagation
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import (
     gcn_norm_csr,
@@ -72,8 +72,8 @@ def _path_graph_with_isolates() -> Graph:
 # --------------------------------------------------------------------- #
 class TestExhaustiveEquivalence:
     @pytest.mark.parametrize("model_name", ["gcn", "graphsage"])
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_single_batch_matches_full_forward(self, tiny_graph, model_name, backend):
+    @pytest.mark.parametrize("structure_form", ["dense", "csr"])
+    def test_single_batch_matches_full_forward(self, tiny_graph, model_name, structure_form):
         model = build_model(
             model_name,
             in_features=tiny_graph.num_features,
@@ -84,10 +84,9 @@ class TestExhaustiveEquivalence:
         seeds = tiny_graph.train_indices()
         sampler = NeighborSampler(tiny_graph.csr(), seed=3)
         blocks = sampler.sample_blocks(seeds, (None,) * model.message_passing_layers)
-        with use_backend(backend):
-            structure = tiny_graph.adjacency if backend == "dense" else tiny_graph.csr()
-            full = model.predict_logits(tiny_graph.features, structure)
-            mini = model.predict_logits_blocks(tiny_graph.features, blocks)
+        structure = tiny_graph.adjacency if structure_form == "dense" else tiny_graph.csr()
+        full = model.predict_logits(tiny_graph.features, structure)
+        mini = model.predict_logits_blocks(tiny_graph.features, blocks)
         assert np.allclose(mini, full[seeds], atol=1e-8)
 
     def test_block_operators_match_full_kernels(self, tiny_graph):
@@ -353,7 +352,7 @@ class TestOperatorCacheHygiene:
         with use_operator_cache(cache):
             Trainer(model, config).fit(tiny_graph)
             stats = cache.stats
-            # One miss per (revision, kind, backend) the *evaluation* needed;
+            # One miss per (revision, kind) the *evaluation* needed;
             # batches contributed nothing.
             assert stats.size == stats.misses == 1
             assert stats.hits >= config.epochs - 1
@@ -613,35 +612,31 @@ class TestVectorisedSampler:
 # Neighbour-sampled evaluation (PR-4 satellite)
 # --------------------------------------------------------------------- #
 class TestSampledEvaluation:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("model_name", ["gcn", "graphsage"])
     def test_sampled_eval_matches_full_graph_eval(
-        self, tiny_graph, backend, model_name
+        self, tiny_graph, model_name
     ):
         """Exhaustive ego-block evaluation equals full-graph evaluation.
 
         Training histories (loss, per-epoch accuracies) must agree epoch by
         epoch — the accuracies are counts over identical-to-1e-8 logits.
         """
-        from repro.sparse.backend import use_backend as _use_backend
-
         results = {}
-        with _use_backend(backend):
-            for sampled in (False, True):
-                model = build_model(
-                    model_name,
-                    in_features=tiny_graph.num_features,
-                    num_classes=tiny_graph.num_classes,
-                    hidden_features=8,
-                    rng=0,
-                )
-                config = TrainConfig(
-                    epochs=10,
-                    patience=None,
-                    track_best=False,
-                    sampled_eval=sampled,
-                )
-                results[sampled] = Trainer(model, config).fit(tiny_graph)
+        for sampled in (False, True):
+            model = build_model(
+                model_name,
+                in_features=tiny_graph.num_features,
+                num_classes=tiny_graph.num_classes,
+                hidden_features=8,
+                rng=0,
+            )
+            config = TrainConfig(
+                epochs=10,
+                patience=None,
+                track_best=False,
+                sampled_eval=sampled,
+            )
+            results[sampled] = Trainer(model, config).fit(tiny_graph)
         assert results[False].history["loss"] == results[True].history["loss"]
         assert (
             results[False].history["train_accuracy"]

@@ -53,11 +53,6 @@ class TestCellSpec:
         assert tiny_spec().key() != tiny_spec(seed=1).key()
         assert tiny_spec().key() != tiny_spec(methods=("vanilla",)).key()
 
-    def test_key_separates_backends(self):
-        # Backends agree only to ~1e-8, so cached payloads must not alias.
-        spec = tiny_spec()
-        assert spec.key("dense") != spec.key("sparse") != spec.key("auto")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             tiny_spec(kind="bogus")
@@ -192,14 +187,6 @@ class TestGridRunner:
         assert runner.cache_stats.misses == misses_before + 3
         assert runner.cache_stats.hits >= 4
 
-    def test_shared_cache_never_aliases_backends(self):
-        shared = ArtifactCache()
-        spec = tiny_spec()
-        GridRunner(backend="dense", artifact_cache=shared).run([spec])
-        result = GridRunner(backend="sparse", artifact_cache=shared).run([spec])
-        # The sparse runner must recompute, not reuse the dense payload.
-        assert not result[0].cached
-
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             GridRunner(executor="fleet")
@@ -208,10 +195,9 @@ class TestGridRunner:
 
     def test_from_compute_config(self):
         runner = GridRunner.from_config(
-            ComputeConfig(backend="dense", executor="thread", jobs=3, cache=False)
+            ComputeConfig(executor="thread", jobs=3, cache=False)
         )
         assert runner.executor == "thread" and runner.jobs == 3
-        assert runner.backend == "dense"
         assert runner.artifact_cache is None and runner.operator_cache is None
 
     def test_jobs_imply_thread_executor(self):
@@ -277,14 +263,11 @@ class TestExecutorDeterminism:
         assert _result_fingerprint(figure4) == reference["figure4"]
 
 
-class TestGridBackendEquivalence:
-    """Sparse vs dense Jaccard agreement on the quick figure4 datasets.
+class TestQuickJaccardEquivalence:
+    """CSR vs dense Jaccard agreement on the quick figure4 datasets.
 
-    The attack-AUC half of the acceptance criterion — full quick table3 /
-    figure4 pipelines under forced dense vs sparse backends agreeing to
-    1e-8 — is asserted end-to-end by
-    ``tests/test_sparse_equivalence.py::TestPipelineEquivalence``, which now
-    routes through the grid engine and the CSR similarity/bias path.
+    The evaluation bias uses the CSR similarity; the InFoRM regulariser and
+    the bias-influence gradient use the dense one.
     """
 
     def test_quick_figure4_jaccard_sparse_vs_dense(self):

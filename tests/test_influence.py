@@ -23,7 +23,6 @@ from repro.influence.hessian import (
 from repro.nn.losses import cross_entropy
 from repro.nn.parameters import gradients_to_vector, parameters_to_vector, zero_gradients
 from repro.nn.tensor import Tensor
-from repro.sparse.backend import use_backend
 
 
 class TestGradients:
@@ -63,9 +62,8 @@ class TestGradients:
                 zero_gradients(params)
             return gradients
 
-        with use_backend("dense"):
-            expected = reference()
-            got = per_node_loss_gradients(model, tiny_graph, indices=indices)
+        expected = reference()
+        got = per_node_loss_gradients(model, tiny_graph, indices=indices)
         assert len(got) == len(expected)
         for actual, wanted in zip(got, expected):
             assert actual.tobytes() == wanted.tobytes()

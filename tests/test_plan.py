@@ -3,9 +3,9 @@
 Acceptance properties:
 
 * **record/replay equality** — a recorded plan replayed over packed blocks
-  reproduces ``predict_logits_blocks`` to 1e-8 (bitwise on the sparse
-  backend) for GCN (2- and 3-layer) and GraphSAGE on both backends, and one
-  large engine call equals the same nodes served in small chunks;
+  reproduces ``predict_logits_blocks`` bitwise for GCN (2- and 3-layer)
+  and GraphSAGE, and one large engine call equals the same nodes served in
+  small chunks;
 * **engine integration** — the fused serving path equals the unfused one
   before and after graph mutations, counters distinguish recording from
   replay, unsupported models fall back transparently, and a registry-style
@@ -38,7 +38,6 @@ from repro.serve import (
     RequestBatcher,
     ServeConfig,
 )
-from repro.sparse.backend import use_backend
 from repro.sparse.csr import CSRMatrix
 
 
@@ -117,9 +116,8 @@ class TestRecording:
 # Replay
 # --------------------------------------------------------------------- #
 class TestReplay:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("name", ["gcn", "gcn3", "graphsage"])
-    def test_replay_matches_unfused(self, tiny_graph, plan_models, backend, name):
+    def test_replay_matches_unfused(self, tiny_graph, plan_models, name):
         model = plan_models[name]
         plan = record_plan(model)
         csr = CSRMatrix.from_dense(tiny_graph.adjacency)
@@ -127,26 +125,23 @@ class TestReplay:
         fanouts = (None,) * plan.num_layers
         rng = np.random.default_rng(5)
         nodes = rng.choice(tiny_graph.num_nodes, size=48, replace=False)
-        with use_backend(backend):
-            # The replay must agree with the unfused forward over exactly
-            # the same blocks.
-            blocks = sampler.ego_blocks(nodes, fanouts, key=3)
-            unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
-            packed = pack_blocks(blocks, plan.kinds, dense=backend == "dense")
-            fused = plan.replay(tiny_graph.features, packed, BufferPool())
-            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-8)
-            if backend == "sparse":
-                np.testing.assert_array_equal(fused, unfused)
+        # The replay must agree with the unfused forward over exactly
+        # the same blocks.
+        blocks = sampler.ego_blocks(nodes, fanouts, key=3)
+        unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
+        packed = pack_blocks(blocks, plan.kinds)
+        fused = plan.replay(tiny_graph.features, packed, BufferPool())
+        np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(fused, unfused)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("name", ["gcn", "graphsage"])
-    def test_one_call_equals_chunked_calls(self, backend, name):
+    def test_one_call_equals_chunked_calls(self, name):
         """One 1,500-node engine call equals the same nodes in 64-node calls.
 
         Keyed sampling makes every node's blocks independent of its batch;
         only the within-row summation order follows the block-local ids, so
         the batchings agree to round-off.  Within the large call the replay
-        is bitwise equal to the unfused forward on the sparse backend.
+        is bitwise equal to the unfused forward.
         """
         csr, features, _ = generate_scaling_graph(
             2_000, num_classes=3, average_degree=8.0, num_features=8, seed=0
@@ -157,24 +152,22 @@ class TestReplay:
         model.eval()
         nodes = np.random.default_rng(0).choice(2_000, size=1_500, replace=False)
         chunks = np.array_split(nodes, range(64, nodes.size, 64))
-        with use_backend(backend):
-            fused, unfused = (
-                InferenceEngine(
-                    model,
-                    GraphSession(csr, features),
-                    ServeConfig(fanouts=(5, 5), cache=False, plan=plan),
-                    plan_cache=PlanCache(),
-                )
-                for plan in (True, False)
+        fused, unfused = (
+            InferenceEngine(
+                model,
+                GraphSession(csr, features),
+                ServeConfig(fanouts=(5, 5), cache=False, plan=plan),
+                plan_cache=PlanCache(),
             )
-            whole = fused.predict_logits(nodes)
-            chunked = np.vstack([fused.predict_logits(chunk) for chunk in chunks])
-            reference = unfused.predict_logits(nodes)
+            for plan in (True, False)
+        )
+        whole = fused.predict_logits(nodes)
+        chunked = np.vstack([fused.predict_logits(chunk) for chunk in chunks])
+        reference = unfused.predict_logits(nodes)
         assert fused.cache_stats.plan_replays == len(chunks)
         np.testing.assert_allclose(whole, chunked, rtol=0, atol=1e-12)
         np.testing.assert_allclose(whole, reference, rtol=0, atol=1e-8)
-        if backend == "sparse":
-            np.testing.assert_array_equal(whole, reference)
+        np.testing.assert_array_equal(whole, reference)
 
     def test_replay_sampled_fanouts(self, tiny_graph, plan_models):
         model = plan_models["graphsage"]
@@ -182,11 +175,10 @@ class TestReplay:
         csr = CSRMatrix.from_dense(tiny_graph.adjacency)
         sampler = NeighborSampler(csr, seed=1)
         nodes = np.arange(30)
-        with use_backend("sparse"):
-            blocks = sampler.ego_blocks(nodes, (3, 3), key=9)
-            packed = pack_blocks(blocks, plan.kinds, dense=False)
-            fused = plan.replay(tiny_graph.features, packed, BufferPool())
-            unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
+        blocks = sampler.ego_blocks(nodes, (3, 3), key=9)
+        packed = pack_blocks(blocks, plan.kinds)
+        fused = plan.replay(tiny_graph.features, packed, BufferPool())
+        unfused = model.predict_logits_blocks(tiny_graph.features, blocks)
         np.testing.assert_array_equal(fused, unfused)
 
     def test_pack_rejects_mismatched_depth(self, tiny_graph, plan_models):
@@ -214,50 +206,48 @@ class TestReplay:
 # Engine integration
 # --------------------------------------------------------------------- #
 class TestEnginePlans:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("name", ["gcn", "graphsage"])
     def test_fused_serving_matches_unfused(
-        self, tiny_graph, plan_models, backend, name
+        self, tiny_graph, plan_models, name
     ):
         """Fused == unfused through the whole engine, across mutations."""
         model = plan_models[name]
-        with use_backend(backend):
-            fused_session = GraphSession.from_graph(tiny_graph.copy())
-            unfused_session = GraphSession.from_graph(tiny_graph.copy())
-            fused = InferenceEngine(
-                model,
-                fused_session,
-                ServeConfig(cache=False),
-                plan_cache=PlanCache(),
-            )
-            unfused = InferenceEngine(
-                model, unfused_session, ServeConfig(cache=False, plan=False)
-            )
-            nodes = np.arange(tiny_graph.num_nodes)
-            np.testing.assert_allclose(
-                fused.predict_logits(nodes),
-                unfused.predict_logits(nodes),
-                rtol=0,
-                atol=1e-8,
-            )
-            pairs = tiny_graph.non_edge_sample(3, np.random.default_rng(0))
-            fused_session.add_edges(pairs)
-            unfused_session.add_edges(pairs)
-            np.testing.assert_allclose(
-                fused.predict_logits(nodes),
-                unfused.predict_logits(nodes),
-                rtol=0,
-                atol=1e-8,
-            )
-            removed = tiny_graph.edge_list()[:2]
-            fused_session.remove_edges(removed)
-            unfused_session.remove_edges(removed)
-            np.testing.assert_allclose(
-                fused.predict_logits(nodes),
-                unfused.predict_logits(nodes),
-                rtol=0,
-                atol=1e-8,
-            )
+        fused_session = GraphSession.from_graph(tiny_graph.copy())
+        unfused_session = GraphSession.from_graph(tiny_graph.copy())
+        fused = InferenceEngine(
+            model,
+            fused_session,
+            ServeConfig(cache=False),
+            plan_cache=PlanCache(),
+        )
+        unfused = InferenceEngine(
+            model, unfused_session, ServeConfig(cache=False, plan=False)
+        )
+        nodes = np.arange(tiny_graph.num_nodes)
+        np.testing.assert_allclose(
+            fused.predict_logits(nodes),
+            unfused.predict_logits(nodes),
+            rtol=0,
+            atol=1e-8,
+        )
+        pairs = tiny_graph.non_edge_sample(3, np.random.default_rng(0))
+        fused_session.add_edges(pairs)
+        unfused_session.add_edges(pairs)
+        np.testing.assert_allclose(
+            fused.predict_logits(nodes),
+            unfused.predict_logits(nodes),
+            rtol=0,
+            atol=1e-8,
+        )
+        removed = tiny_graph.edge_list()[:2]
+        fused_session.remove_edges(removed)
+        unfused_session.remove_edges(removed)
+        np.testing.assert_allclose(
+            fused.predict_logits(nodes),
+            unfused.predict_logits(nodes),
+            rtol=0,
+            atol=1e-8,
+        )
 
     def test_counters_record_once_then_replay(self, tiny_graph, plan_models):
         model = plan_models["gcn"]

@@ -5,7 +5,7 @@ Acceptance properties:
 * **registry round-trip** — save/load reproduces GCN, GraphSAGE and GAT
   parameters bit-for-bit and guards against graph-fingerprint mismatches;
 * **serve-vs-offline equivalence** — exhaustive-sampled served logits match
-  the offline full-graph forward to 1e-8 on the dense and sparse backends,
+  the offline full-graph forward (from a dense or a CSR adjacency) to 1e-8,
   for GCN and GraphSAGE;
 * **incremental updates** — ``add_edges`` / ``remove_edges`` / ``add_node``
   keep the session CSR identical to the dense structure, bump revisions, and
@@ -37,7 +37,6 @@ from repro.serve import (
     ServeConfig,
     graph_fingerprint,
 )
-from repro.sparse.backend import use_backend
 from repro.sparse.csr import CSRMatrix
 
 
@@ -142,18 +141,18 @@ class TestModelRegistry:
 # Serve-vs-offline equivalence (acceptance criterion)
 # --------------------------------------------------------------------- #
 class TestServeOfflineEquivalence:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("structure_form", ["dense", "csr"])
     @pytest.mark.parametrize("model_name", ["gcn", "graphsage"])
     def test_exhaustive_serving_matches_full_forward(
-        self, tiny_graph, trained_models, backend, model_name
+        self, tiny_graph, trained_models, model_name, structure_form
     ):
         model = trained_models[model_name]
         graph = _fresh_graph(tiny_graph)
-        with use_backend(backend):
-            offline = model.predict_logits(graph.features, graph.adjacency)
-            session = GraphSession.from_graph(graph)
-            engine = InferenceEngine(model, session)
-            served = engine.predict_logits(np.arange(graph.num_nodes))
+        structure = graph.adjacency if structure_form == "dense" else graph.csr()
+        offline = model.predict_logits(graph.features, structure)
+        session = GraphSession.from_graph(graph)
+        engine = InferenceEngine(model, session)
+        served = engine.predict_logits(np.arange(graph.num_nodes))
         np.testing.assert_allclose(served, offline, atol=1e-8)
 
     def test_single_node_and_repeated_requests(self, tiny_graph, trained_models):

@@ -1,29 +1,23 @@
-"""Backend registry, auto-selection heuristic and dynamic-scoping tests."""
+"""CSR propagation operators, the ``use_backend`` scope, the removed backend
+selector, BLAS-thread independence and grad-mode scoping."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.sparse
 from repro.core.config import ComputeConfig
+from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.grid import GridRunner
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
-from repro.sparse import (
-    AUTO_MIN_NODES,
-    CSRMatrix,
-    DenseOperator,
-    SparseOperator,
-    available_backends,
-    build_propagation,
-    get_backend,
-    get_backend_name,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
-from repro.sparse.backend import ComputeBackend, _REGISTRY
+from repro.sparse import CSRMatrix, SparseOperator, build_propagation, use_backend
 
 
 def ring_adjacency(n):
@@ -34,150 +28,155 @@ def ring_adjacency(n):
     return adjacency
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(available_backends()) >= {"dense", "sparse"}
-        assert get_backend("dense").name == "dense"
-        assert get_backend("sparse").name == "sparse"
+def graph_with_isolated_node(weighted=False):
+    """A 9-node graph: random edges among nodes 0-7, node 8 isolated.
 
-    def test_unknown_backend(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            get_backend("gpu")
-        with pytest.raises(KeyError, match="unknown backend"):
-            set_backend("gpu")
-
-    def test_auto_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_backend("auto", ComputeBackend())
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("dense", ComputeBackend())
-
-    def test_custom_backend_registration(self):
-        class EchoBackend(ComputeBackend):
-            name = "echo"
-
-            def build_operator(self, adjacency, kind):
-                return ("echo", kind)
-
-        register_backend("echo", EchoBackend())
-        try:
-            with use_backend("echo"):
-                assert build_propagation(np.eye(3), "gcn") == ("echo", "gcn")
-        finally:
-            _REGISTRY.pop("echo")
+    ``weighted`` gives every edge a symmetric weight in [0.5, 2).
+    """
+    rng = np.random.default_rng(7)
+    upper = np.triu(rng.random((9, 9)) < 0.4, k=1)
+    adjacency = (upper | upper.T).astype(np.float64)
+    adjacency[8, :] = adjacency[:, 8] = 0.0
+    if weighted:
+        weights = np.triu(rng.uniform(0.5, 2.0, size=(9, 9)), k=1)
+        adjacency *= weights + weights.T
+    return adjacency
 
 
-class TestSelection:
-    def test_default_is_auto(self):
-        assert get_backend_name() == "auto"
+def dense_reference(adjacency, kind):
+    """The propagation matrix ``kind`` written directly in NumPy."""
+    n = adjacency.shape[0]
+    if kind in ("gcn", "left", "mean"):
+        base = adjacency + np.eye(n)
+    else:
+        base = adjacency.copy()
+    degrees = base.sum(axis=1)
+    if kind == "gcn":
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+        return base * inv_sqrt[:, None] * inv_sqrt[None, :]
+    inverse = np.zeros(n)
+    inverse[degrees > 0] = 1.0 / degrees[degrees > 0]
+    return base * inverse[:, None]
 
-    def test_auto_small_graph_dense(self):
-        small = ring_adjacency(16)
-        assert resolve_backend(small).name == "dense"
-        assert isinstance(build_propagation(small, "gcn"), DenseOperator)
 
-    def test_auto_large_sparse_graph(self):
-        large = ring_adjacency(AUTO_MIN_NODES)
-        assert resolve_backend(large).name == "sparse"
-        assert isinstance(build_propagation(large, "gcn"), SparseOperator)
+KINDS = ["gcn", "left", "mean", "mean_noself"]
 
-    def test_auto_large_dense_graph_stays_dense(self):
-        n = AUTO_MIN_NODES
-        dense_graph = np.ones((n, n)) - np.eye(n)
-        assert resolve_backend(dense_graph).name == "dense"
 
-    def test_auto_csr_input_stays_sparse(self):
-        csr = CSRMatrix.from_dense(ring_adjacency(8))
-        assert resolve_backend(csr).name == "sparse"
+class TestPropagation:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("as_csr", [False, True], ids=["dense-input", "csr-input"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["binary", "weighted"])
+    def test_operator_matches_dense_reference(self, kind, as_csr, weighted, rng):
+        adjacency = graph_with_isolated_node(weighted)
+        assert adjacency[8].sum() == 0.0
+        structure = CSRMatrix.from_dense(adjacency) if as_csr else adjacency
+        operator = build_propagation(structure, kind)
+        assert isinstance(operator, SparseOperator)
+        assert isinstance(operator.matrix, CSRMatrix)
+        expected = dense_reference(adjacency, kind)
+        np.testing.assert_allclose(operator.to_array(), expected, rtol=0.0, atol=1e-12)
+        x = rng.normal(size=(9, 3))
+        np.testing.assert_allclose(
+            operator.matmul(Tensor(x)).data, expected @ x, rtol=0.0, atol=1e-12
+        )
 
-    def test_explicit_override_beats_auto(self):
-        small = ring_adjacency(16)
-        assert resolve_backend(small, "sparse").name == "sparse"
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backward_matches_dense_reference(self, kind, rng):
+        """The input gradient of ``operator.matmul`` is ``Pᵀ · grad``."""
+        adjacency = graph_with_isolated_node(weighted=True)
+        operator = build_propagation(CSRMatrix.from_dense(adjacency), kind)
+        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        grad = rng.normal(size=(9, 3))
+        operator.matmul(x).backward(grad)
+        expected = dense_reference(adjacency, kind).T @ grad
+        np.testing.assert_allclose(x.grad, expected, rtol=0.0, atol=1e-12)
 
-    def test_use_backend_scoping(self):
-        small = ring_adjacency(16)
-        with use_backend("sparse"):
-            assert get_backend_name() == "sparse"
-            assert resolve_backend(small).name == "sparse"
-            with use_backend("dense"):
-                assert resolve_backend(small).name == "dense"
-            assert resolve_backend(small).name == "sparse"
-        assert get_backend_name() == "auto"
-
-    def test_use_backend_none_inherits(self):
-        with use_backend("sparse"):
-            with use_backend(None):
-                assert get_backend_name() == "sparse"
-
-    def test_backend_selection_is_thread_local(self):
-        """A backend choice in one thread must not leak into another."""
-        seen = {}
-        barrier = threading.Barrier(2)
-
-        def sparse_worker():
-            with use_backend("sparse"):
-                barrier.wait()
-                seen["sparse_worker"] = get_backend_name()
-                barrier.wait()
-
-        def plain_worker():
-            barrier.wait()
-            seen["plain_worker"] = get_backend_name()
-            barrier.wait()
-
-        threads = [
-            threading.Thread(target=sparse_worker),
-            threading.Thread(target=plain_worker),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert seen == {"sparse_worker": "sparse", "plain_worker": "auto"}
+    def test_operator_api(self):
+        operator = build_propagation(ring_adjacency(12), "gcn")
+        assert operator.shape == (12, 12)
+        assert operator.memory_bytes() < ring_adjacency(12).nbytes
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown propagation kind"):
             build_propagation(ring_adjacency(4), "chebyshev")
-        with pytest.raises(ValueError, match="unknown propagation kind"):
-            build_propagation(ring_adjacency(4), "chebyshev", backend="sparse")
 
 
-class TestOperators:
-    def test_operator_apis_agree(self, rng):
-        adjacency = ring_adjacency(12)
-        x = rng.normal(size=(12, 3))
-        dense_op = build_propagation(adjacency, "gcn", backend="dense")
-        sparse_op = build_propagation(adjacency, "gcn", backend="sparse")
-        assert dense_op.shape == sparse_op.shape == (12, 12)
-        np.testing.assert_allclose(dense_op.to_array(), sparse_op.to_array(), atol=1e-12)
-        np.testing.assert_allclose(
-            dense_op.matmul(Tensor(x)).data, sparse_op.matmul(Tensor(x)).data, atol=1e-12
-        )
-        assert sparse_op.memory_bytes() < dense_op.memory_bytes()
+class TestUseBackend:
+    @pytest.mark.parametrize("name", [None, "sparse", "SPARSE"])
+    def test_sparse_scope_is_a_no_op(self, name):
+        with use_backend(name):
+            operator = build_propagation(ring_adjacency(6), "gcn")
+        assert isinstance(operator, SparseOperator)
+
+    @pytest.mark.parametrize("name", ["dense", "auto", "gpu"])
+    def test_other_names_raise(self, name):
+        with pytest.raises(ValueError, match="unknown backend"):
+            with use_backend(name):
+                pass  # pragma: no cover - the scope must not be entered
+
+    def test_selector_names_are_gone(self):
+        for name in (
+            "DenseOperator",
+            "DenseBackend",
+            "ComputeBackend",
+            "AUTO_MIN_NODES",
+            "available_backends",
+            "get_backend",
+            "get_backend_name",
+            "register_backend",
+            "resolve_backend",
+            "set_backend",
+        ):
+            assert not hasattr(repro.sparse, name), name
+            assert not hasattr(repro.sparse.backend, name), name
+
+    def test_compute_config_has_no_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            ComputeConfig(backend="sparse")
+
+    def test_grid_runner_has_no_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            GridRunner(backend="sparse")
+
+    def test_experiments_cli_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["table3", "--preset", "smoke", "--backend", "sparse"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
-class TestComputeConfig:
-    def test_default_inherits_ambient(self):
-        config = ComputeConfig()
-        with use_backend("sparse"):
-            with config.activate():
-                assert get_backend_name() == "sparse"
+_TABLE3_ROWS = (
+    "from repro.experiments.tables import table3_accuracy_bias; "
+    "print(repr(table3_accuracy_bias('smoke', seed=0).rows))"
+)
 
-    def test_explicit_backend_applied(self):
-        config = ComputeConfig(backend="sparse")
-        with config.activate():
-            assert get_backend_name() == "sparse"
-        assert get_backend_name() == "auto"
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            ComputeConfig(backend="tpu")
+def _table3_rows_at(threads):
+    env = dict(os.environ)
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[variable] = str(threads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _TABLE3_ROWS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return completed.stdout
+
+
+def test_results_do_not_depend_on_blas_threads():
+    """Smoke Table III is bit-identical at one and at two BLAS threads."""
+    single = _table3_rows_at(1)
+    assert single.startswith("[{")
+    assert _table3_rows_at(2) == single
 
 
 class TestGradModeContextVar:
-    """Satellite: the autodiff mode flag is dynamically scoped per thread."""
+    """The autodiff mode flag is dynamically scoped per thread."""
 
     def test_no_grad_restores(self):
         assert is_grad_enabled()

@@ -1,24 +1,26 @@
-"""Dense/sparse equivalence property tests.
+"""CSR kernels against dense NumPy formulas.
 
-The sparse backend is only admissible if it is numerically indistinguishable
-from the dense reference.  These tests assert agreement of every paired
-kernel on random graphs — including isolated-node and empty-graph edge
-cases — plus forward *and* gradient agreement of ``spmm``, model-level
-agreement after full training, and end-to-end agreement of the quick-preset
-table3 / figure4 pipelines under forced backends.
+Every graph operator runs on CSR.  These property tests check each CSR
+kernel against a dense formula on random graphs — including isolated-node
+and empty-graph edge cases — plus forward *and* gradient agreement of
+``spmm`` with a dense matmul, and that a trained model predicts the same
+from a dense adjacency as from its CSR form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
-from repro.gnn.normalization import gcn_norm, left_norm, mean_aggregation_matrix
-from repro.graphs.khop import shortest_path_hops
+from repro.fairness.inform import bias_metric
+from repro.gnn.normalization import gcn_norm, left_norm
+from repro.graphs.khop import khop_frontier, shortest_path_hops
 from repro.graphs.laplacian import laplacian, normalized_laplacian
+from repro.graphs.similarity import jaccard_similarity
 from repro.nn.tensor import Tensor
-from repro.sparse import CSRMatrix, spmm, use_backend
-from repro.sparse.ops import shortest_path_hops_csr
+from repro.sparse import CSRMatrix, build_propagation, spmm
+from repro.sparse.ops import INF_HOPS, mean_aggregation_csr, shortest_path_hops_csr
 
 ATOL = 1e-10
 
@@ -31,6 +33,13 @@ def random_graph(rng, n, density=0.1, isolated=()):
         adjacency[node, :] = 0.0
         adjacency[:, node] = 0.0
     return adjacency
+
+
+def dense_mean(adjacency, include_self):
+    """Row-stochastic neighbourhood mean; isolated rows stay zero."""
+    base = adjacency + np.eye(adjacency.shape[0]) if include_self else adjacency
+    degrees = base.sum(axis=1, keepdims=True)
+    return np.divide(base, degrees, out=np.zeros_like(base), where=degrees > 0)
 
 
 GRAPH_CASES = [
@@ -63,8 +72,8 @@ class TestKernelEquivalence:
     def test_mean_aggregation(self, graph_pair, include_self):
         dense, csr = graph_pair
         np.testing.assert_allclose(
-            mean_aggregation_matrix(csr, include_self).to_dense(),
-            mean_aggregation_matrix(dense, include_self),
+            mean_aggregation_csr(csr, include_self).to_dense(),
+            dense_mean(dense, include_self),
             atol=ATOL,
         )
 
@@ -91,9 +100,50 @@ class TestKernelEquivalence:
 
     def test_shortest_path_hops(self, graph_pair):
         dense, csr = graph_pair
-        np.testing.assert_array_equal(
-            shortest_path_hops_csr(csr), shortest_path_hops(dense)
+        distances = shortest_path(dense, unweighted=True)
+        expected = np.where(np.isinf(distances), INF_HOPS, distances).astype(np.int64)
+        np.testing.assert_array_equal(shortest_path_hops_csr(csr), expected)
+        np.testing.assert_array_equal(shortest_path_hops(dense), expected)
+
+    @pytest.mark.parametrize("hops", [0, 1, 2])
+    def test_khop_frontier(self, graph_pair, hops):
+        dense, csr = graph_pair
+        n = dense.shape[0]
+        seeds = np.unique([0, n // 2, n - 1])
+        reachable = shortest_path(dense, unweighted=True, indices=seeds) <= hops
+        expected = np.flatnonzero(reachable.any(axis=0))
+        np.testing.assert_array_equal(khop_frontier(csr, seeds, hops), expected)
+        np.testing.assert_array_equal(khop_frontier(dense, seeds, hops), expected)
+
+    def test_propagation_operators(self, graph_pair):
+        """``build_propagation`` gives the same CSR operator from either form."""
+        dense, csr = graph_pair
+        expected = {
+            "gcn": gcn_norm(dense),
+            "left": left_norm(dense),
+            "mean": dense_mean(dense, include_self=True),
+            "mean_noself": dense_mean(dense, include_self=False),
+        }
+        for kind, reference in expected.items():
+            from_csr = build_propagation(csr, kind).to_array()
+            from_dense = build_propagation(dense, kind).to_array()
+            np.testing.assert_array_equal(from_dense, from_csr, err_msg=kind)
+            np.testing.assert_allclose(from_csr, reference, atol=ATOL, err_msg=kind)
+
+    def test_jaccard_similarity(self, graph_pair):
+        dense, csr = graph_pair
+        np.testing.assert_allclose(
+            jaccard_similarity(csr).to_dense(), jaccard_similarity(dense), atol=ATOL
         )
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bias_metric(self, graph_pair, rng, normalize):
+        """The evaluation bias (CSR similarity) equals the dense trace form."""
+        dense, csr = graph_pair
+        predictions = rng.dirichlet(np.ones(3), size=dense.shape[0])
+        expected = bias_metric(predictions, jaccard_similarity(dense), normalize=normalize)
+        got = bias_metric(predictions, jaccard_similarity(csr), normalize=normalize)
+        assert got == pytest.approx(expected, rel=1e-10, abs=ATOL)
 
 
 class TestSpmmAutodiff:
@@ -150,55 +200,18 @@ class TestSpmmAutodiff:
 
 class TestModelEquivalence:
     @pytest.mark.parametrize("model_name", ["gcn", "graphsage"])
-    def test_trained_model_logits(self, tiny_graph, model_name):
+    def test_trained_model_dense_and_csr_adjacency(self, tiny_graph, model_name):
         from repro.gnn.models import build_model
         from repro.gnn.trainer import TrainConfig, Trainer
 
-        logits = {}
-        for backend in ("dense", "sparse"):
-            model = build_model(
-                model_name,
-                in_features=tiny_graph.num_features,
-                num_classes=tiny_graph.num_classes,
-                hidden_features=8,
-                rng=0,
-            )
-            with use_backend(backend):
-                Trainer(model, TrainConfig(epochs=20, patience=None)).fit(tiny_graph)
-                logits[backend] = model.predict_logits(
-                    tiny_graph.features, tiny_graph.adjacency
-                )
-        np.testing.assert_allclose(logits["dense"], logits["sparse"], atol=1e-8)
-
-
-def _assert_rows_close(rows_a, rows_b, atol):
-    assert len(rows_a) == len(rows_b)
-    for a, b in zip(rows_a, rows_b):
-        assert a.keys() == b.keys()
-        for key, value in a.items():
-            if isinstance(value, float):
-                assert value == pytest.approx(b[key], abs=atol), key
-            else:
-                assert value == b[key], key
-
-
-class TestPipelineEquivalence:
-    """Acceptance criterion: quick-preset table3 / figure4 agree at 1e-8."""
-
-    def test_table3_quick(self):
-        from repro.experiments.tables import table3_accuracy_bias
-
-        results = {}
-        for backend in ("dense", "sparse"):
-            with use_backend(backend):
-                results[backend] = table3_accuracy_bias("quick", seed=0)
-        _assert_rows_close(results["dense"].rows, results["sparse"].rows, atol=1e-8)
-
-    def test_figure4_quick(self):
-        from repro.experiments.figures import figure4_attack_auc
-
-        results = {}
-        for backend in ("dense", "sparse"):
-            with use_backend(backend):
-                results[backend] = figure4_attack_auc("quick", seed=0)
-        _assert_rows_close(results["dense"].rows, results["sparse"].rows, atol=1e-8)
+        model = build_model(
+            model_name,
+            in_features=tiny_graph.num_features,
+            num_classes=tiny_graph.num_classes,
+            hidden_features=8,
+            rng=0,
+        )
+        Trainer(model, TrainConfig(epochs=20, patience=None)).fit(tiny_graph)
+        from_dense = model.predict_logits(tiny_graph.features, tiny_graph.adjacency)
+        from_csr = model.predict_logits(tiny_graph.features, tiny_graph.csr())
+        np.testing.assert_allclose(from_dense, from_csr, atol=1e-8)
